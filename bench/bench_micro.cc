@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "config/db_config.h"
+#include "config/lhs_sampler.h"
 #include "data/datasets.h"
 #include "nn/packed_forward.h"
 #include "nn/quant.h"
@@ -27,6 +28,7 @@
 #include "encoder/structure_encoder.h"
 #include "nn/tensor.h"
 #include "plan/linearize.h"
+#include "plan/serialize.h"
 #include "simdb/executor.h"
 #include "simdb/planner.h"
 #include "simdb/workloads.h"
@@ -73,6 +75,53 @@ void BM_LinearizeDfsBracket(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinearizeDfsBracket)->Arg(20)->Arg(100);
+
+// Serialized plans of every TPC-H, TPC-DS and JOB template at two
+// instantiations under four sampled knob configurations: the plan texts a
+// serving daemon ingests from a template-dominated query log.
+const std::vector<std::string>& TemplatePlanTexts() {
+  static const std::vector<std::string>* const kTexts = [] {
+    auto* texts = new std::vector<std::string>();
+    qpe::util::Rng rng(1);
+    qpe::config::LhsSampler sampler(rng.Fork());
+    const std::vector<qpe::config::DbConfig> configs = sampler.Sample(4);
+    const qpe::simdb::TpchWorkload tpch(1.0);
+    const qpe::simdb::TpcdsWorkload tpcds(1.0);
+    const qpe::simdb::JobWorkload job;
+    const qpe::simdb::BenchmarkWorkload* workloads[] = {&tpch, &tpcds, &job};
+    for (const qpe::simdb::BenchmarkWorkload* w : workloads) {
+      for (int t = 0; t < w->NumTemplates(); ++t) {
+        for (int inst = 0; inst < 2; ++inst) {
+          const qpe::simdb::QuerySpec spec = w->Instantiate(t, &rng);
+          for (const qpe::config::DbConfig& config : configs) {
+            qpe::simdb::Planner planner(&w->GetCatalog(), &config);
+            texts->push_back(
+                qpe::plan::SerializePlanNode(*planner.PlanQuery(spec).root));
+          }
+        }
+      }
+    }
+    return texts;
+  }();
+  return *kTexts;
+}
+
+// One ParsePlanNodeChecked per iteration, cycling through the template
+// pool; time per iteration is the per-plan parse cost.
+void BM_ParsePlanNode(benchmark::State& state) {
+  const std::vector<std::string>& texts = TemplatePlanTexts();
+  size_t i = 0;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string& text = texts[i];
+    benchmark::DoNotOptimize(qpe::plan::ParsePlanNodeChecked(text));
+    bytes += static_cast<int64_t>(text.size());
+    if (++i == texts.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_ParsePlanNode);
 
 void BM_PlannerTpchQ5(benchmark::State& state) {
   qpe::simdb::TpchWorkload tpch(1.0);

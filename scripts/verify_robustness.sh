@@ -32,7 +32,8 @@ cmake -B build-asan -S . -DQPE_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" \
   --target checkpoint_test dataset_io_test robustness_test ingestion_test \
   serving_test daemon_test drift_test arena_test simd_quant_test \
-  packed_pipeline_test workload_explorer qpe_served qpe_client
+  packed_pipeline_test plan_test plan_parser_diff_test workload_explorer \
+  qpe_served qpe_client
 
 ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
   ./build-asan/tests/checkpoint_test
@@ -40,6 +41,13 @@ ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
   ./build-asan/tests/dataset_io_test
 ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
   ./build-asan/tests/robustness_test
+# The plan-text parser: string_view token bounds, the explicit nesting
+# stack and its depth bound, and the differential fuzz against the
+# legacy parser's oracle.
+ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
+  ./build-asan/tests/plan_test
+ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
+  ./build-asan/tests/plan_parser_diff_test
 ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
   ./build-asan/tests/serving_test
 # The daemon suite under ASan: wire-protocol fuzzing, admission edge cases,

@@ -34,7 +34,7 @@ std::string TokenCodeName(uint32_t code) {
 DriftBaseline BuildDriftBaseline(
     const encoder::PlanSequenceEncoder& encoder,
     const std::vector<const plan::PlanNode*>& plans,
-    const DriftBaselineConfig& config) {
+    const DriftBaselineConfig& config, int batch_size) {
   DriftBaseline baseline;
   baseline.config = config;
   baseline.dim = encoder.output_dim();
@@ -69,11 +69,13 @@ DriftBaseline BuildDriftBaseline(
   // nearest-centroid distances.
   std::vector<std::vector<float>> points;
   points.reserve(plans.size());
-  {
+  const size_t batch = static_cast<size_t>(std::max(batch_size, 1));
+  for (size_t begin = 0; begin < plans.size(); begin += batch) {
     nn::ArenaScope arena;
     nn::NoGradGuard no_grad;
     const std::vector<nn::Tensor> embedded = encoder.EncodeBatch(
-        std::span<const plan::PlanNode* const>(plans.data(), plans.size()),
+        std::span<const plan::PlanNode* const>(
+            plans.data() + begin, std::min(batch, plans.size() - begin)),
         /*dropout_rng=*/nullptr);
     for (const nn::Tensor& t : embedded) points.push_back(t.value());
   }

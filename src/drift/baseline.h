@@ -60,10 +60,15 @@ struct DriftBaseline {
 // After an adaptation, rebaseline by calling this again with the refreshed
 // encoder and the union of the original corpus and the drifted slice — the
 // adapted distribution becomes the new normal.
+// The plans are encoded in EncodeBatch calls of at most `batch_size` (the
+// serving micro-batch, see serve::EmbeddingServiceConfig), so the calling
+// thread's packed workspace stays request-sized rather than corpus-sized.
+// The batched forward is bit-identical to the per-plan one, so the
+// baseline does not depend on `batch_size`.
 DriftBaseline BuildDriftBaseline(
     const encoder::PlanSequenceEncoder& encoder,
     const std::vector<const plan::PlanNode*>& plans,
-    const DriftBaselineConfig& config = {});
+    const DriftBaselineConfig& config = {}, int batch_size = 16);
 
 }  // namespace qpe::drift
 

@@ -24,8 +24,13 @@ void DriftSentinel::Observe(const plan::PlanNode& plan, const float* embedding,
   // an observation and needs no shared state.
   const std::vector<plan::OperatorType> tokens =
       plan::LinearizeDfsBracket(plan);
-  const uint64_t fingerprint = plan::FingerprintTokens(tokens);
+  Observe(plan, tokens, plan::FingerprintTokens(tokens), embedding, dim);
+}
 
+void DriftSentinel::Observe(const plan::PlanNode& plan,
+                            const std::vector<plan::OperatorType>& tokens,
+                            uint64_t fingerprint, const float* embedding,
+                            size_t dim) {
   std::lock_guard<std::mutex> lock(mu_);
   ++observed_;
   const bool novel = !detector_.baseline().bloom.MightContain(fingerprint);

@@ -48,6 +48,11 @@ class DriftSentinel {
 
   // Folds one served (plan, embedding) observation into the stream.
   void Observe(const plan::PlanNode& plan, const float* embedding, size_t dim);
+  // The same, given the plan's LinearizeDfsBracket tokens and their
+  // FingerprintTokens hash, which the caller has already computed.
+  void Observe(const plan::PlanNode& plan,
+               const std::vector<plan::OperatorType>& tokens,
+               uint64_t fingerprint, const float* embedding, size_t dim);
 
   // Lock-free reads for the per-response drift trailer.
   bool stale() const {

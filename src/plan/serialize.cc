@@ -1,6 +1,6 @@
 #include "plan/serialize.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <iomanip>
 #include <limits>
@@ -14,7 +14,7 @@ namespace {
 // Property table: name -> accessor pair, covering every numeric/categorical
 // field of PlanProperties. Bools and enums are serialized as integers.
 struct PropField {
-  const char* name;
+  std::string_view name;
   double (*get)(const PlanProperties&);
   void (*set)(PlanProperties&, double);
 };
@@ -113,61 +113,66 @@ void SerializeNode(const PlanNode& node, std::ostringstream& oss) {
   oss << ")";
 }
 
-// Tiny recursive-descent parser over the s-expression format. The first
-// failure is recorded with its reason and byte offset (see error()), so
-// callers can report *where* a corrupt plan text broke instead of just
-// returning nullptr.
+// C-locale std::isspace, inlined.
+inline bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// A property value as std::strtod reads it. std::from_chars is correctly
+// rounded too, so wherever it consumes the whole token it yields strtod's
+// bits at a fraction of the cost; every other token (a leading '+', hex
+// floats, out-of-range values, trailing junk, no digits at all) goes to
+// strtod on a NUL-terminated copy.
+double ParseNumber(std::string_view token) {
+  double value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc() && ptr == end) return value;
+  return std::strtod(std::string(token).c_str(), nullptr);
+}
+
+// Single-pass scanner over the s-expression format. Tokens are views into
+// the input, so a node costs one PlanNode allocation plus its :rel strings.
+// Nesting is tracked on an explicit stack of open nodes rather than by
+// recursion, and capped at kMaxPlanNestingDepth. The first failure is
+// recorded with its reason and byte offset (see error()), so callers can
+// report *where* a corrupt plan text broke instead of just returning
+// nullptr.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text)
+      : text_(text), fields_(PropFields()) {}
 
   std::unique_ptr<PlanNode> ParseNode() {
-    SkipWs();
-    if (!Consume('(')) return Fail("expected '(' opening a plan node");
-    SkipWs();
-    if (!ConsumeWord("op")) return Fail("expected 'op' keyword");
-    SkipWs();
-    const std::string type_token = ParseQuoted();
-    auto node = std::make_unique<PlanNode>(OperatorType::Parse(type_token));
+    std::unique_ptr<PlanNode> root = OpenNode();
+    if (!root) return nullptr;
+    // open.back() is the node whose ')' comes next; open.size() its depth.
+    std::vector<PlanNode*> open = {root.get()};
     while (true) {
       SkipWs();
       if (pos_ >= text_.size()) {
         return Fail("unterminated plan node (missing ')')");
       }
-      if (text_[pos_] == ')') {
+      const char c = text_[pos_];
+      if (c == ')') {
         ++pos_;
-        return node;
+        open.pop_back();
+        if (open.empty()) return root;
+        continue;
       }
-      if (text_[pos_] == '(') {
-        auto child = ParseNode();
+      if (c == '(') {
+        if (open.size() >= static_cast<size_t>(kMaxPlanNestingDepth)) {
+          return Fail("plan nesting deeper than " +
+                      std::to_string(kMaxPlanNestingDepth));
+        }
+        std::unique_ptr<PlanNode> child = OpenNode();
         if (!child) return nullptr;  // error already recorded
-        node->AddChild(std::move(child));
+        open.push_back(open.back()->AddChild(std::move(child)));
         continue;
       }
-      if (text_[pos_] == ':') {
-        const size_t key_pos = pos_;
-        ++pos_;
-        const std::string key = ParseWord();
-        SkipWs();
-        if (key == "rel") {
-          node->AddRelation(ParseWord());
-          continue;
-        }
-        const std::string value = ParseWord();
-        bool found = false;
-        for (const PropField& field : PropFields()) {
-          if (key == field.name) {
-            field.set(node->props(), std::strtod(value.c_str(), nullptr));
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          return FailAt("unknown property '" + key + "'", key_pos);
-        }
+      if (c == ':') {
+        if (!ParseProperty(open.back())) return nullptr;
         continue;
       }
-      return Fail(std::string("unexpected character '") + text_[pos_] + "'");
+      return Fail(std::string("unexpected character '") + c + "'");
     }
   }
 
@@ -189,8 +194,8 @@ class Parser {
     return false;
   }
 
-  bool ConsumeWord(const std::string& word) {
-    if (text_.compare(pos_, word.size(), word) == 0) {
+  bool ConsumeWord(std::string_view word) {
+    if (text_.substr(pos_, word.size()) == word) {
       pos_ += word.size();
       return true;
     }
@@ -198,35 +203,81 @@ class Parser {
   }
 
   void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
   }
 
-  std::string ParseQuoted() {
-    std::string out;
-    if (!Consume('"')) return out;
-    while (pos_ < text_.size() && text_[pos_] != '"') out.push_back(text_[pos_++]);
+  std::string_view ParseQuoted() {
+    if (!Consume('"')) return {};
+    const size_t begin = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"') ++pos_;
+    const std::string_view out = text_.substr(begin, pos_ - begin);
     Consume('"');
     return out;
   }
 
-  std::string ParseWord() {
-    std::string out;
-    while (pos_ < text_.size() && !std::isspace(static_cast<unsigned char>(
-                                      text_[pos_])) &&
-           text_[pos_] != ')' && text_[pos_] != '(') {
-      out.push_back(text_[pos_++]);
+  std::string_view ParseWord() {
+    const size_t begin = pos_;
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (IsSpace(c) || c == ')' || c == '(') break;
+      ++pos_;
     }
-    return out;
+    return text_.substr(begin, pos_ - begin);
   }
 
   size_t pos() const { return pos_; }
 
  private:
-  const std::string& text_;
+  // "(op "<type>"" up to the node's first child or property.
+  std::unique_ptr<PlanNode> OpenNode() {
+    SkipWs();
+    if (!Consume('(')) return Fail("expected '(' opening a plan node");
+    SkipWs();
+    if (!ConsumeWord("op")) return Fail("expected 'op' keyword");
+    SkipWs();
+    return std::make_unique<PlanNode>(OperatorType::Parse(ParseQuoted()));
+  }
+
+  // ":key value" with pos_ on the ':'.
+  bool ParseProperty(PlanNode* node) {
+    const size_t key_pos = pos_++;
+    const std::string_view key = ParseWord();
+    SkipWs();
+    if (key == "rel") {
+      node->AddRelation(std::string(ParseWord()));
+      return true;
+    }
+    const std::string_view value = ParseWord();
+    const PropField* field = FindField(key);
+    if (field == nullptr) {
+      FailAt("unknown property '" + std::string(key) + "'", key_pos);
+      return false;
+    }
+    field->set(node->props(), ParseNumber(value));
+    return true;
+  }
+
+  // SerializeNode writes properties in table order, so the scan starts
+  // just past the previous match and almost always hits on its first
+  // probe; length and first byte reject the other candidates cheaply.
+  const PropField* FindField(std::string_view key) {
+    if (key.empty()) return nullptr;
+    const size_t n = fields_.size();
+    for (size_t probes = 0; probes < n; ++probes) {
+      const PropField& field = fields_[next_field_];
+      next_field_ = next_field_ + 1 == n ? 0 : next_field_ + 1;
+      const std::string_view name = field.name;
+      if (name.size() == key.size() && name[0] == key[0] && name == key) {
+        return &field;
+      }
+    }
+    return nullptr;
+  }
+
+  std::string_view text_;
+  const std::vector<PropField>& fields_;
   size_t pos_ = 0;
+  size_t next_field_ = 0;
   std::string error_;
 };
 
@@ -252,7 +303,7 @@ std::string SerializePlan(const Plan& plan) {
 }
 
 util::StatusOr<std::unique_ptr<PlanNode>> ParsePlanNodeChecked(
-    const std::string& text) {
+    std::string_view text) {
   Parser parser(text);
   auto node = parser.ParseNode();
   if (!node) {
@@ -261,7 +312,7 @@ util::StatusOr<std::unique_ptr<PlanNode>> ParsePlanNodeChecked(
   return node;
 }
 
-util::StatusOr<Plan> ParsePlanChecked(const std::string& text) {
+util::StatusOr<Plan> ParsePlanChecked(std::string_view text) {
   Parser parser(text);
   auto fail = [&parser](const std::string& reason) {
     return util::DataLossError("plan parse failed: " + reason + " at offset " +
@@ -279,9 +330,9 @@ util::StatusOr<Plan> ParsePlanChecked(const std::string& text) {
     }
     if (parser.Consume(')')) break;
     if (parser.Consume(':')) {
-      const std::string key = parser.ParseWord();
+      const std::string_view key = parser.ParseWord();
       parser.SkipWs();
-      const std::string value = parser.ParseWord();
+      const std::string value(parser.ParseWord());
       if (key == "benchmark") {
         plan.benchmark = value == "-" ? "" : value;
       } else if (key == "template") {
@@ -289,7 +340,7 @@ util::StatusOr<Plan> ParsePlanChecked(const std::string& text) {
       } else if (key == "cluster") {
         plan.cluster_id = std::atoi(value.c_str());
       } else {
-        return fail("unknown plan attribute '" + key + "'");
+        return fail("unknown plan attribute '" + std::string(key) + "'");
       }
       continue;
     }
@@ -301,12 +352,12 @@ util::StatusOr<Plan> ParsePlanChecked(const std::string& text) {
   return plan;
 }
 
-std::unique_ptr<PlanNode> ParsePlanNode(const std::string& text) {
+std::unique_ptr<PlanNode> ParsePlanNode(std::string_view text) {
   Parser parser(text);
   return parser.ParseNode();
 }
 
-std::optional<Plan> ParsePlan(const std::string& text) {
+std::optional<Plan> ParsePlan(std::string_view text) {
   auto result = ParsePlanChecked(text);
   if (!result.ok()) return std::nullopt;
   return std::move(result.value());

@@ -36,39 +36,38 @@ const Taxonomy& Taxonomy::Get() {
 }
 
 int Taxonomy::LookupId(const std::vector<std::string>& names,
-                       const std::string& name) const {
+                       std::string_view name) {
   for (size_t i = 0; i < names.size(); ++i) {
     if (names[i] == name) return static_cast<int>(i);
   }
   return -1;
 }
 
-int Taxonomy::Level1Id(const std::string& name) const {
+int Taxonomy::Level1Id(std::string_view name) const {
   const int id = LookupId(level1_, name);
   return id < 0 ? unknown1_ : id;
 }
-int Taxonomy::Level2Id(const std::string& name) const {
+int Taxonomy::Level2Id(std::string_view name) const {
   const int id = LookupId(level2_, name);
   return id < 0 ? unknown2_ : id;
 }
-int Taxonomy::Level3Id(const std::string& name) const {
+int Taxonomy::Level3Id(std::string_view name) const {
   const int id = LookupId(level3_, name);
   return id < 0 ? unknown3_ : id;
 }
 
-int Taxonomy::FindLevel1(const std::string& name) const {
+int Taxonomy::FindLevel1(std::string_view name) const {
   return LookupId(level1_, name);
 }
-int Taxonomy::FindLevel2(const std::string& name) const {
+int Taxonomy::FindLevel2(std::string_view name) const {
   return LookupId(level2_, name);
 }
-int Taxonomy::FindLevel3(const std::string& name) const {
+int Taxonomy::FindLevel3(std::string_view name) const {
   return LookupId(level3_, name);
 }
 
-OperatorType OperatorType::FromNames(const std::string& l1,
-                                     const std::string& l2,
-                                     const std::string& l3) {
+OperatorType OperatorType::FromNames(std::string_view l1, std::string_view l2,
+                                     std::string_view l3) {
   const Taxonomy& tax = Taxonomy::Get();
   return OperatorType(
       static_cast<uint8_t>(l1.empty() ? 0 : tax.Level1Id(l1)),
@@ -81,15 +80,16 @@ OperatorType OperatorType::Unknown() {
   return OperatorType(static_cast<uint8_t>(tax.unknown1()), 0, 0);
 }
 
-OperatorType OperatorType::Parse(const std::string& token) {
-  std::string parts[3];
+OperatorType OperatorType::Parse(std::string_view token) {
+  // Up to three '-'-separated names; anything after a third '-' is ignored.
+  std::string_view parts[3];
   int part = 0;
-  for (char c : token) {
-    if (c == '-') {
-      if (++part >= 3) break;
-    } else {
-      parts[part].push_back(c);
-    }
+  size_t begin = 0;
+  for (size_t i = 0; i <= token.size(); ++i) {
+    if (i < token.size() && token[i] != '-') continue;
+    parts[part] = token.substr(begin, i - begin);
+    begin = i + 1;
+    if (i == token.size() || ++part >= 3) break;
   }
   return FromNames(parts[0], parts[1], parts[2]);
 }

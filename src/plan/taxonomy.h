@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qpe::plan {
@@ -26,15 +27,15 @@ class Taxonomy {
 
   // Lenient lookups: unknown names map to the reserved UNKNOWN sub-type of
   // the level, never to a sentinel a consumer could index with.
-  int Level1Id(const std::string& name) const;
-  int Level2Id(const std::string& name) const;
-  int Level3Id(const std::string& name) const;
+  int Level1Id(std::string_view name) const;
+  int Level2Id(std::string_view name) const;
+  int Level3Id(std::string_view name) const;
 
   // Strict lookups: -1 if the name is not in the taxonomy. Use these when
   // the caller needs to *detect* a foreign name (ingestion diagnostics).
-  int FindLevel1(const std::string& name) const;
-  int FindLevel2(const std::string& name) const;
-  int FindLevel3(const std::string& name) const;
+  int FindLevel1(std::string_view name) const;
+  int FindLevel2(std::string_view name) const;
+  int FindLevel3(std::string_view name) const;
 
   // Bounds-safe: ids outside [0, count) name themselves "UNKNOWN" instead of
   // indexing out of the vocabulary (corrupt trees carry arbitrary bytes).
@@ -62,8 +63,8 @@ class Taxonomy {
 
  private:
   Taxonomy();
-  int LookupId(const std::vector<std::string>& names,
-               const std::string& name) const;
+  static int LookupId(const std::vector<std::string>& names,
+                      std::string_view name);
   static size_t ValidId(int id, const std::vector<std::string>& names,
                         int unknown) {
     return (id < 0 || id >= static_cast<int>(names.size()))
@@ -95,14 +96,14 @@ struct OperatorType {
 
   // Builds from sub-type names; empty names map to NIL, non-empty names
   // outside the taxonomy map to the level's reserved UNKNOWN sub-type.
-  static OperatorType FromNames(const std::string& l1, const std::string& l2,
-                                const std::string& l3);
+  static OperatorType FromNames(std::string_view l1, std::string_view l2,
+                                std::string_view l3);
 
   // The fully-unknown operator token (UNKNOWN-NIL-NIL).
   static OperatorType Unknown();
 
   // Parses "Scan-Heap-Bitmap" / "Sort" / "Join-Merge-Left" style tokens.
-  static OperatorType Parse(const std::string& token);
+  static OperatorType Parse(std::string_view token);
 
   // Canonical hyphenated token, trailing NILs omitted for readability only
   // when full == false (serialization always uses the full 3-part form).

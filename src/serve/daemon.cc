@@ -13,6 +13,8 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "plan/fingerprint.h"
+#include "plan/linearize.h"
 #include "plan/serialize.h"
 #include "serve/warm_state.h"
 #include "util/fault_injection.h"
@@ -173,7 +175,8 @@ util::Status ServingDaemon::InitDrift() {
   ptrs.reserve(corpus_plans_.size());
   for (const auto& p : corpus_plans_) ptrs.push_back(p.get());
   sentinel_ = std::make_unique<drift::DriftSentinel>(
-      drift::BuildDriftBaseline(*encoder_, ptrs, config_.drift_baseline),
+      drift::BuildDriftBaseline(*encoder_, ptrs, config_.drift_baseline,
+                                config_.service.batch_size),
       config_.drift_sentinel);
   return util::OkStatus();
 }
@@ -329,9 +332,17 @@ void ServingDaemon::ProcessWork(QueuedRequest work) {
     }
     plans.push_back(std::move(*parsed));
   }
+  // One linearization per plan yields both the cache key and the drift
+  // sentinel's tokens.
   std::vector<const plan::PlanNode*> ptrs;
+  std::vector<std::vector<plan::OperatorType>> tokens(plans.size());
+  std::vector<uint64_t> fingerprints(plans.size());
   ptrs.reserve(plans.size());
-  for (const auto& p : plans) ptrs.push_back(p.get());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    ptrs.push_back(plans[i].get());
+    plan::LinearizeDfsBracketInto(*plans[i], &tokens[i]);
+    fingerprints[i] = plan::FingerprintTokens(tokens[i]);
+  }
 
   EncodeResponse response;
   {
@@ -339,7 +350,8 @@ void ServingDaemon::ProcessWork(QueuedRequest work) {
     // observation of the produced embeddings all see one consistent model —
     // an adaptation swap (exclusive side) can never land in between.
     std::shared_lock<std::shared_mutex> model_lock(model_mu_);
-    const std::vector<nn::Tensor> embeddings = service_->EncodeAll(ptrs);
+    const std::vector<nn::Tensor> embeddings =
+        service_->EncodeAll(ptrs, fingerprints);
     response.dim = static_cast<uint32_t>(encoder_->output_dim());
     response.embeddings.reserve(embeddings.size());
     for (const nn::Tensor& e : embeddings) {
@@ -348,8 +360,8 @@ void ServingDaemon::ProcessWork(QueuedRequest work) {
     if (sentinel_ != nullptr) {
       const auto observe_start = std::chrono::steady_clock::now();
       for (size_t i = 0; i < plans.size(); ++i) {
-        sentinel_->Observe(*plans[i], response.embeddings[i].data(),
-                           response.dim);
+        sentinel_->Observe(*plans[i], tokens[i], fingerprints[i],
+                           response.embeddings[i].data(), response.dim);
       }
       drift_observe_ns_.fetch_add(
           static_cast<uint64_t>(
@@ -484,7 +496,8 @@ void ServingDaemon::InstallAdaptedEncoder(
   ptrs.reserve(corpus_plans_.size());
   for (const auto& p : corpus_plans_) ptrs.push_back(p.get());
   drift::DriftBaseline baseline =
-      drift::BuildDriftBaseline(*fresh, ptrs, config_.drift_baseline);
+      drift::BuildDriftBaseline(*fresh, ptrs, config_.drift_baseline,
+                                config_.service.batch_size);
   const uint64_t fingerprint = ModelFingerprint(*fresh);
   std::unique_ptr<encoder::TransformerPlanEncoder> retired;
   {

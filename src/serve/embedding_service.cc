@@ -21,20 +21,28 @@ EmbeddingService::EmbeddingService(const encoder::PlanSequenceEncoder* encoder,
 
 std::vector<nn::Tensor> EmbeddingService::EncodeAll(
     std::span<const plan::PlanNode* const> plans) {
+  std::vector<uint64_t> keys(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    keys[i] = plan::FingerprintPlan(*plans[i]);
+  }
+  return EncodeAll(plans, keys);
+}
+
+std::vector<nn::Tensor> EmbeddingService::EncodeAll(
+    std::span<const plan::PlanNode* const> plans,
+    std::span<const uint64_t> keys) {
   const auto start = std::chrono::steady_clock::now();
   const int n = static_cast<int>(plans.size());
   const int dim = encoder_->output_dim();
   std::vector<nn::Tensor> results(n);
 
-  // Step 1+2: fingerprint, probe the cache, and deduplicate repeats. A
+  // Step 1+2: probe the cache by fingerprint and deduplicate repeats. A
   // fingerprint seen earlier in this request is encoded once; later
   // occurrences share the first occurrence's result.
-  std::vector<uint64_t> keys(n);
   std::vector<const plan::PlanNode*> to_encode;   // unique misses
   std::vector<std::vector<int>> slots;            // request indices per miss
   std::unordered_map<uint64_t, int> miss_index;   // key -> to_encode index
   for (int i = 0; i < n; ++i) {
-    keys[i] = plan::FingerprintPlan(*plans[i]);
     if (cache_enabled_) {
       std::vector<float> cached;
       if (cache_.Lookup(keys[i], &cached)) {

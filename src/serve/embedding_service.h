@@ -80,6 +80,13 @@ class EmbeddingService {
   std::vector<nn::Tensor> EncodeAll(
       std::span<const plan::PlanNode* const> plans);
 
+  // The same, for a caller that already holds every plan's fingerprint
+  // (fingerprints[i] == plan::FingerprintPlan(*plans[i])) — the daemon
+  // linearizes each plan once for both this and the drift sentinel.
+  std::vector<nn::Tensor> EncodeAll(
+      std::span<const plan::PlanNode* const> plans,
+      std::span<const uint64_t> fingerprints);
+
   nn::Tensor EncodeOne(const plan::PlanNode& plan);
 
   // Swaps the serving encoder and clears the cache in one step, so no

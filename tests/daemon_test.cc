@@ -1003,6 +1003,41 @@ TEST_F(DaemonTest, GarbageBytesGetTypedErrorAndDisconnect) {
   EXPECT_GE(daemon.GetStats().protocol_errors, 1u);
 }
 
+TEST_F(DaemonTest, DeeplyNestedPlanGetsTypedErrorAndDaemonKeepsServing) {
+  const ServingDaemonConfig config = BaseConfig("deepnest");
+  ServingDaemon daemon(&encoder_, config);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  // ~1M nested nodes in ~12 MB: under max_payload_bytes, and far past the
+  // depth any recursive parse (or tree destructor) survives.
+  const int kDepth = 1 << 20;
+  const std::string open = "(op \"Sort\" ";
+  std::string deep;
+  deep.reserve(kDepth * (open.size() + 1));
+  for (int i = 0; i < kDepth; ++i) deep += open;
+  deep.append(kDepth, ')');
+  ASSERT_LT(deep.size() + 64, config.max_payload_bytes);
+
+  auto client = DaemonClient::Connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  EncodeRequest request;
+  request.tenant = "default";
+  request.plans = {std::move(deep)};
+  ErrorResponse error;
+  const auto rejected = client->Encode(request, &error);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(error.code, WireError::kInvalidArgument);
+  EXPECT_NE(error.message.find("nesting deeper than"), std::string::npos)
+      << error.message;
+
+  // The daemon survived, and serves a normal request on the same link.
+  request.plans = SamplePlanTexts(3, 21);
+  const auto served = client->Encode(request);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->embeddings.size(), 3u);
+  daemon.Stop();
+}
+
 TEST_F(DaemonTest, OversizedFrameIsRejectedNotBuffered) {
   ServingDaemonConfig config = BaseConfig("oversize");
   config.max_payload_bytes = 1024;

@@ -197,6 +197,41 @@ TEST(SketchTest, KMeansProducesNonEmptyClustersAndDistances) {
   EXPECT_GT(distance, *std::max_element(nearest.begin(), nearest.end()));
 }
 
+TEST(BaselineTest, MicroBatchedEncodeMatchesOneCorpusBatchBitwise) {
+  util::Rng rng(42);
+  const encoder::TransformerPlanEncoder encoder(SmallConfig(), &rng);
+  std::vector<std::unique_ptr<plan::PlanNode>> corpus;
+  for (const std::string& text : RandomPlanTexts(150, 5)) {
+    corpus.push_back(plan::ParsePlanNode(text));
+  }
+  std::vector<const plan::PlanNode*> ptrs;
+  for (const auto& p : corpus) ptrs.push_back(p.get());
+
+  const int whole = static_cast<int>(ptrs.size());
+  const drift::DriftBaseline reference =
+      drift::BuildDriftBaseline(encoder, ptrs, {}, /*batch_size=*/whole);
+  for (const int batch : {16, 7, 1}) {
+    const drift::DriftBaseline chunked =
+        drift::BuildDriftBaseline(encoder, ptrs, {}, batch);
+    ASSERT_EQ(chunked.centroids.cluster_count(),
+              reference.centroids.cluster_count());
+    for (int c = 0; c < reference.centroids.cluster_count(); ++c) {
+      const std::vector<float>& a = chunked.centroids.centroids[c];
+      const std::vector<float>& b = reference.centroids.centroids[c];
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+          << "centroid " << c << " at batch " << batch;
+    }
+    EXPECT_EQ(chunked.centroids.occupancy, reference.centroids.occupancy);
+    EXPECT_EQ(std::memcmp(&chunked.centroids.outlier_threshold,
+                          &reference.centroids.outlier_threshold,
+                          sizeof(float)),
+              0)
+        << "batch " << batch;
+    EXPECT_EQ(chunked.token_freq, reference.token_freq);
+  }
+}
+
 // --- Monitor hysteresis -----------------------------------------------------
 
 drift::DriftWindowReport ReportWithScore(double score) {

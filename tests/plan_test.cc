@@ -247,5 +247,47 @@ TEST(SerializeTest, MalformedInputRejected) {
   EXPECT_FALSE(ParsePlan("(op \"Sort\")").has_value());
 }
 
+// `depth` nested Sort nodes around one Scan leaf.
+std::string NestedText(int depth) {
+  std::string text;
+  for (int i = 1; i < depth; ++i) text += "(op \"Sort-NIL-NIL\" ";
+  text += "(op \"Scan-Seq-NIL\")";
+  text.append(static_cast<size_t>(depth - 1), ')');
+  return text;
+}
+
+TEST(SerializeTest, NestingAtDepthBoundIsAccepted) {
+  const auto parsed = ParsePlanNodeChecked(NestedText(kMaxPlanNestingDepth));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ((*parsed)->Depth(), kMaxPlanNestingDepth);
+  EXPECT_EQ(SerializePlanNode(**parsed), NestedText(kMaxPlanNestingDepth));
+}
+
+TEST(SerializeTest, NestingPastDepthBoundIsDataLossAtItsOffset) {
+  const std::string text = NestedText(kMaxPlanNestingDepth + 1);
+  const auto parsed = ParsePlanNodeChecked(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), util::StatusCode::kDataLoss);
+  // The '(' that opens the node one level too deep.
+  const size_t offset = static_cast<size_t>(kMaxPlanNestingDepth) *
+                        std::string("(op \"Sort-NIL-NIL\" ").size();
+  EXPECT_EQ(text[offset], '(');
+  EXPECT_EQ(parsed.status().message(),
+            "plan node parse failed: plan nesting deeper than " +
+                std::to_string(kMaxPlanNestingDepth) + " at offset " +
+                std::to_string(offset));
+  const auto plan = ParsePlanChecked("(plan " + text + ")");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), util::StatusCode::kDataLoss);
+}
+
+TEST(SerializeTest, HostileNestingIsRejectedWithoutRecursion) {
+  // 30k unclosed levels (360 KB): enough to overflow a recursive parser.
+  std::string text;
+  for (int i = 0; i < 30000; ++i) text += "(op \"Sort\" ";
+  EXPECT_EQ(ParsePlanNode(text), nullptr);
+  EXPECT_FALSE(ParsePlan("(plan " + text).has_value());
+}
+
 }  // namespace
 }  // namespace qpe::plan
