@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -274,33 +275,6 @@ void BM_LayerNormUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerNormUnfused)->Arg(16)->Arg(256);
 
-// Fused bias+GELU (the batched FFN activation) vs Gelu(Add(a, bias)).
-void BM_BiasGeluFused(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const int cols = 96;
-  qpe::nn::NoGradGuard no_grad;
-  const qpe::nn::Tensor a = RandomTensor(rows, cols, 24, false);
-  const qpe::nn::Tensor bias = RandomTensor(1, cols, 25, false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BiasGelu(a, bias).at(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * rows * cols);
-}
-BENCHMARK(BM_BiasGeluFused)->Arg(16)->Arg(256);
-
-void BM_BiasGeluUnfused(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const int cols = 96;
-  qpe::nn::NoGradGuard no_grad;
-  const qpe::nn::Tensor a = RandomTensor(rows, cols, 24, false);
-  const qpe::nn::Tensor bias = RandomTensor(1, cols, 25, false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Gelu(Add(a, bias)).at(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * rows * cols);
-}
-BENCHMARK(BM_BiasGeluUnfused)->Arg(16)->Arg(256);
-
 // Masked row softmax (the batched attention kernel) with all rows fully
 // valid, against the unmasked kernel it must match bit-for-bit.
 void BM_SoftmaxRowsMasked(benchmark::State& state) {
@@ -541,41 +515,9 @@ void BM_EmbedGatherSimd(benchmark::State& state) {
 BENCHMARK(BM_EmbedGatherScalar)->Arg(512);
 BENCHMARK(BM_EmbedGatherSimd)->Arg(512);
 
-// Int8 GEMM (quantized serving engine) vs the fp32 forward kernel at the
-// same shape — the quantization win on top of vectorization. Uses the
-// dispatched (best) table for both rows. Args: {m, k, n}.
-void BM_Int8Gemm(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const int n = static_cast<int>(state.range(2));
-  const qpe::nn::simd::Kernels& kern = BestKernels();
-  qpe::util::Rng rng(40);
-  std::vector<int8_t> a(static_cast<size_t>(m) * k);
-  std::vector<int8_t> b(static_cast<size_t>(n) * k);
-  for (int8_t& x : a) {
-    x = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  }
-  for (int8_t& x : b) {
-    x = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  }
-  const std::vector<float> a_scale(m, 0.01f);
-  const std::vector<float> b_scale(n, 0.02f);
-  const std::vector<float> bias = RandomBuffer(n, 41);
-  std::vector<float> c(static_cast<size_t>(m) * n);
-  for (auto _ : state) {
-    kern.int8_gemm(a.data(), b.data(), c.data(), m, k, n, a_scale.data(),
-                   b_scale.data(), bias.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
-  state.SetLabel(kern.name);
-}
-BENCHMARK(BM_Int8Gemm)->Args({256, 48, 48})->Args({256, 256, 256});
-
-// Int8 GEMM over pre-packed weight tiles (the serving layout after
-// Quantize() repacks). Packing happens once outside the loop, exactly as
-// in QuantizedLinear; the pair against BM_Int8Gemm isolates the tile
-// layout's win. Args: {m, k, n}.
+// Int8 GEMM over pre-packed weight tiles (the quantized serving engine's
+// layout). Packing happens once outside the loop, exactly as in
+// QuantizedLinear. Uses the dispatched (best) table. Args: {m, k, n}.
 void BM_Int8GemmPacked(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const int k = static_cast<int>(state.range(1));
@@ -676,9 +618,23 @@ BENCHMARK(BM_TrainStepPerfEncoder)
 
 // --- train_step_speedup context stamp ---------------------------------------
 
+// The structure encoder with its packed EncodeBatchGrad override replaced
+// by the base class's per-plan op-chain loop: the reference side of
+// train_step_speedup.
+class PerPlanTransformerEncoder : public qpe::encoder::TransformerPlanEncoder {
+ public:
+  using TransformerPlanEncoder::TransformerPlanEncoder;
+  std::vector<qpe::nn::Tensor> EncodeBatchGrad(
+      std::span<const qpe::plan::PlanNode* const> plans,
+      qpe::util::Rng* dropout_rng) const override {
+    return PlanSequenceEncoder::EncodeBatchGrad(plans, dropout_rng);
+  }
+};
+
 // Best-of-3 single-threaded PPSR training epochs (same model shape and data
 // as BM_TrainStepPpsr), fresh model per repetition so every measurement
 // times epoch 1 from identical weights.
+template <typename Encoder>
 double BestTrainEpochMs(const qpe::data::PlanPairDataset& dataset) {
   qpe::util::SetMaxThreads(1);
   double best_ms = 0;
@@ -686,9 +642,8 @@ double BestTrainEpochMs(const qpe::data::PlanPairDataset& dataset) {
     qpe::util::Rng rng(14);
     qpe::encoder::StructureEncoderConfig config;
     config.num_layers = 1;
-    qpe::encoder::PpsrModel model(
-        std::make_unique<qpe::encoder::TransformerPlanEncoder>(config, &rng),
-        &rng);
+    qpe::encoder::PpsrModel model(std::make_unique<Encoder>(config, &rng),
+                                  &rng);
     qpe::encoder::PpsrTrainOptions train_options;
     train_options.epochs = 1;
     const auto start = std::chrono::steady_clock::now();
@@ -704,11 +659,10 @@ double BestTrainEpochMs(const qpe::data::PlanPairDataset& dataset) {
 }
 
 // The packed-training win, measured in-process so the regression gate can
-// hold an absolute floor on it: per-plan op-chain training graphs
-// (QPE_PACKED_TRAIN=0) vs the packed columnar forward/backward (the
-// default) on the exact same single-threaded epoch. A ratio of wall-clock
-// ratios is largely frequency-insensitive, which is what an absolute
-// floor needs on shared hosts.
+// hold an absolute floor on it: per-plan op-chain training graphs vs the
+// packed forward/backward on the exact same single-threaded epoch. A ratio
+// of wall-clock ratios is largely frequency-insensitive, which is what an
+// absolute floor needs on shared hosts.
 std::string MeasureTrainStepSpeedup() {
   qpe::data::PairDatasetOptions options;
   options.num_pairs = 24;
@@ -716,15 +670,10 @@ std::string MeasureTrainStepSpeedup() {
   options.corpus.max_nodes = 16;
   const qpe::data::PlanPairDataset dataset =
       qpe::data::BuildCorpusPairDataset(options);
-  const char* saved = std::getenv("QPE_PACKED_TRAIN");
-  setenv("QPE_PACKED_TRAIN", "0", 1);
-  const double per_plan_ms = BestTrainEpochMs(dataset);
-  if (saved != nullptr) {
-    setenv("QPE_PACKED_TRAIN", saved, 1);
-  } else {
-    unsetenv("QPE_PACKED_TRAIN");
-  }
-  const double packed_ms = BestTrainEpochMs(dataset);
+  const double per_plan_ms =
+      BestTrainEpochMs<PerPlanTransformerEncoder>(dataset);
+  const double packed_ms =
+      BestTrainEpochMs<qpe::encoder::TransformerPlanEncoder>(dataset);
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f",
                 packed_ms > 0 ? per_plan_ms / packed_ms : 0.0);

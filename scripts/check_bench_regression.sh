@@ -24,7 +24,7 @@
 #     training-step benchmarks (BM_TrainStepPpsr, BM_TrainStepPerfEncoder)
 #     or on the dispatched SIMD kernel benchmarks (BM_MatMulForwardSimd,
 #     BM_LayerNormSimd, BM_SoftmaxMaskedSimd, BM_AttentionPackedSimd,
-#     BM_Int8Gemm) fails with exit 1. The threshold is coarser than
+#     BM_Int8GemmPacked) fails with exit 1. The threshold is coarser than
 #     serving because single-process micro loops see more run-to-run
 #     frequency variance than the best-of-N serving measurements. The
 #     compared statistic is the median-of-repetitions aggregate (the only
@@ -73,7 +73,7 @@ trap 'rm -f "${FRESH_SERVING}" "${FRESH_MICRO}"' EXIT
 "./${BUILD_DIR}/bench/bench_serving" "${FRESH_SERVING}"
 echo
 "./${BUILD_DIR}/bench/bench_micro" \
-  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LayerNormSimd|BM_SoftmaxMaskedSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_EmbedGatherSimd|BM_Int8Gemm' \
+  --benchmark_filter='BM_TrainStep|BM_MatMulForwardSimd|BM_LayerNormSimd|BM_SoftmaxMaskedSimd|BM_AttentionPackedSimd|BM_AttentionBlockedSimd|BM_EmbedGatherSimd|BM_Int8GemmPacked' \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -106,7 +106,7 @@ MICRO_PREFIXES = (
     "BM_AttentionPackedSimd",
     "BM_AttentionBlockedSimd",
     "BM_EmbedGatherSimd",
-    "BM_Int8Gemm",
+    "BM_Int8GemmPacked",
 )
 # Absolute floors on the fresh run, independent of the baseline: the
 # packed batch path must beat per-plan encode by a real margin, and the
@@ -122,8 +122,8 @@ SERVING_SPEEDUP_FLOORS = {
     "quantized_speedup": 0.95,
 }
 # Same idea for training: bench_micro stamps train_step_speedup into its
-# JSON context — per-plan op-chain training graphs (QPE_PACKED_TRAIN=0)
-# vs the packed columnar forward/backward, best-of-3 single-threaded PPSR
+# JSON context — per-plan op-chain training graphs (the base-class
+# EncodeBatchGrad loop) vs the packed forward/backward, best-of-3 single-threaded PPSR
 # epochs measured in-process, so the ratio is frequency-insensitive. The
 # packed step records ~1.5x on this container; a floor of 1.2 absorbs the
 # ±10% noise while still failing any structural regression (losing the

@@ -92,14 +92,16 @@ QuantizedPlanEncoder::QuantizedPlanEncoder(
   view_.level3_dim = config_.level3_dim;
   view_.output_dim = has_projection_ ? config_.output_dim : model_dim_;
   view_.has_projection = has_projection_;
-  view_.embed1 = embed1_.data();
-  view_.embed2 = embed2_.data();
-  view_.embed3 = embed3_.data();
-  view_.positional = positional_.data();
+  view_.embed1.v = embed1_.data();
+  view_.embed2.v = embed2_.data();
+  view_.embed3.v = embed3_.data();
+  view_.positional.v = positional_.data();
   view_.layers.reserve(layers_.size());
   for (const LayerParams& lp : layers_) {
-    view_.layers.push_back({lp.norm1_gamma.data(), lp.norm1_beta.data(),
-                            lp.norm2_gamma.data(), lp.norm2_beta.data()});
+    view_.layers.push_back({{lp.norm1_gamma.data()},
+                            {lp.norm1_beta.data()},
+                            {lp.norm2_gamma.data()},
+                            {lp.norm2_beta.data()}});
   }
 
   // Calibration pass: replay the packed forward with the fp32 weights,

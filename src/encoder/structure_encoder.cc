@@ -160,30 +160,26 @@ TransformerPlanEncoder::TransformerPlanEncoder(
     assert(it != params.end() && "missing parameter for packed refs");
     return it->second;
   };
-  packed_refs_.embed1 = get("embed1.table");
-  packed_refs_.embed2 = get("embed2.table");
-  packed_refs_.embed3 = get("embed3.table");
-  packed_refs_.positional = get("transformer.positional");
-  static constexpr const char* kSiteNames[] = {
-      "attention.wq", "attention.wk", "attention.wv",
-      "attention.wo", "ff1",          "ff2",
-  };
+  for (const char* name : {"embed1.table", "embed2.table", "embed3.table",
+                           "transformer.positional"}) {
+    packed_params_.push_back(get(name));
+  }
+  std::vector<std::string> sites;  // GEMM sites, in view order
   for (int i = 0; i < config.num_layers; ++i) {
     const std::string prefix = "transformer.layer" + std::to_string(i) + ".";
-    PackedRefs::Layer layer;
-    layer.norm1_gamma = get(prefix + "norm1.gamma");
-    layer.norm1_beta = get(prefix + "norm1.beta");
-    layer.norm2_gamma = get(prefix + "norm2.gamma");
-    layer.norm2_beta = get(prefix + "norm2.beta");
-    packed_refs_.layers.push_back(std::move(layer));
-    for (const char* site : kSiteNames) {
-      packed_refs_.sites.push_back(
-          {get(prefix + site + ".weight"), get(prefix + site + ".bias")});
+    for (const char* norm :
+         {"norm1.gamma", "norm1.beta", "norm2.gamma", "norm2.beta"}) {
+      packed_params_.push_back(get(prefix + norm));
+    }
+    for (const char* site : {"attention.wq", "attention.wk", "attention.wv",
+                             "attention.wo", "ff1", "ff2"}) {
+      sites.push_back(prefix + site);
     }
   }
-  if (projection_ != nullptr) {
-    packed_refs_.sites.push_back(
-        {get("projection.weight"), get("projection.bias")});
+  if (projection_ != nullptr) sites.push_back("projection");
+  for (const std::string& site : sites) {
+    packed_params_.push_back(get(site + ".weight"));
+    packed_params_.push_back(get(site + ".bias"));
   }
 }
 
@@ -216,7 +212,25 @@ nn::Tensor TransformerPlanEncoder::Encode(const plan::PlanNode& root,
   return EncodeTokens(plan::LinearizeDfsBracket(root), dropout_rng);
 }
 
-std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchPacked(
+namespace {
+
+// fp32 GEMM for the packed engine: the fused linear kernel reproduces the
+// op chain's fill + blocked matmul + bias add (+ ReLU clamp) value stream
+// per output element, so the packed result is bit-identical to it —
+// without the zero-fill and bias passes over the output buffer.
+struct Fp32Linear {
+  const nn::PackedModelView& mv;
+  void operator()(int site, const float* x, int m, int in, int out, float* y,
+                  bool relu) const {
+    const nn::PackedSiteView& s = mv.sites[site];
+    nn::simd::K().linear_bias_act(x, s.weight.v, s.bias.v, y, m, in, out,
+                                  relu ? 1 : 0);
+  }
+};
+
+}  // namespace
+
+nn::PackedBatch& TransformerPlanEncoder::PackBatch(
     std::span<const plan::PlanNode* const> plans) const {
   nn::PackedBatch& ws = nn::PackedBatch::ThreadLocal();
   PackPlansColumns(plans, config_.max_len, &ws);
@@ -234,39 +248,42 @@ std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchPacked(
   mv.level3_dim = config_.level3_dim;
   mv.output_dim = output_dim();
   mv.has_projection = projection_ != nullptr;
-  mv.embed1 = packed_refs_.embed1.value().data();
-  mv.embed2 = packed_refs_.embed2.value().data();
-  mv.embed3 = packed_refs_.embed3.value().data();
-  mv.positional = packed_refs_.positional.value().data();
-  if (mv.layers.size() != packed_refs_.layers.size()) {
-    mv.layers.resize(packed_refs_.layers.size());
-  }
-  for (size_t i = 0; i < packed_refs_.layers.size(); ++i) {
-    const PackedRefs::Layer& src = packed_refs_.layers[i];
-    mv.layers[i] = {src.norm1_gamma.value().data(),
-                    src.norm1_beta.value().data(),
-                    src.norm2_gamma.value().data(),
-                    src.norm2_beta.value().data()};
-  }
-
-  // fp32 GEMM: the fused linear kernel reproduces the op chain's
-  // fill + blocked matmul + bias add (+ ReLU clamp) value stream per
-  // output element, so the packed result is bit-identical to it — without
-  // the zero-fill and bias passes over the output buffer.
-  auto fp32_linear = [&](int site, const float* x, int m, int in, int out,
-                         float* y, bool relu) {
-    const PackedRefs::Site& s = packed_refs_.sites[site];
-    nn::simd::K().linear_bias_act(x, s.weight.value().data(),
-                                  s.bias.value().data(), y, m, in, out,
-                                  relu ? 1 : 0);
+  mv.dropout = config_.dropout;
+  size_t next = 0;
+  auto param = [&] {
+    const nn::Tensor& t = packed_params_[next++];
+    return nn::PackedParam{t.value().data(), t.impl()};
   };
-  const float* result = nn::PackedEncodeForward(mv, ws, fp32_linear);
+  mv.embed1 = param();
+  mv.embed2 = param();
+  mv.embed3 = param();
+  mv.positional = param();
+  mv.layers.resize(config_.num_layers);
+  for (nn::PackedLayerView& layer : mv.layers) {
+    layer = {param(), param(), param(), param()};
+  }
+  mv.sites.resize((packed_params_.size() - next) / 2);
+  for (nn::PackedSiteView& site : mv.sites) site = {param(), param()};
+  return ws;
+}
+
+std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatch(
+    std::span<const plan::PlanNode* const> plans, util::Rng* dropout_rng) const {
+  if (plans.empty()) return {};
+  if (dropout_rng != nullptr && training()) {
+    // Dropout draws are defined per sequence; the inference engine draws
+    // none, so training-mode batches take the per-plan loop.
+    return PlanSequenceEncoder::EncodeBatch(plans, dropout_rng);
+  }
+  nn::PackedBatch& ws = PackBatch(plans);
+  const float* result =
+      nn::PackedEncodeForward(ws.view, ws, Fp32Linear{ws.view});
 
   // Result tensors are plain heap tensors, constructed outside any arena:
   // they escape this call, and routing them through the serving arena
   // would turn every micro-batch into arena misses.
   nn::ArenaScope noarena(nullptr);
-  const int od = mv.output_dim;
+  const int od = ws.view.output_dim;
   std::vector<nn::Tensor> out;
   out.reserve(plans.size());
   for (int i = 0; i < ws.layout.size(); ++i) {
@@ -280,98 +297,35 @@ std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchPacked(
 std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchGrad(
     std::span<const plan::PlanNode* const> plans, util::Rng* dropout_rng) const {
   if (plans.empty()) return {};
-  if (!nn::GradEnabled() || !nn::PackedEnvEnabled() ||
-      !nn::PackedTrainEnvEnabled()) {
+  if (!nn::GradEnabled()) {
     return PlanSequenceEncoder::EncodeBatchGrad(plans, dropout_rng);
   }
   // Pack in REVERSE caller order: the autograd engine runs later-built
   // sibling subtrees' backward first, so under the reversed packing the
   // backward kernels' ascending-row accumulation reproduces the per-plan
   // gradient accumulation order at every shared memory location.
-  nn::PackedBatch& pb = nn::PackedBatch::ThreadLocal();
   std::vector<const plan::PlanNode*> reversed(plans.rbegin(), plans.rend());
-  PackPlansColumns(reversed, config_.max_len, &pb);
-
-  nn::PackedTrainBatch& ws = nn::PackedTrainBatch::ThreadLocal();
-  ws.ids1.assign(pb.ids1.begin(), pb.ids1.end());
-  ws.ids2.assign(pb.ids2.begin(), pb.ids2.end());
-  ws.ids3.assign(pb.ids3.begin(), pb.ids3.end());
-  ws.positions.assign(pb.layout.positions.begin(), pb.layout.positions.end());
-  ws.offsets.assign(pb.layout.offsets.begin(), pb.layout.offsets.end());
-  ws.lengths.assign(pb.layout.lengths.begin(), pb.layout.lengths.end());
-  ws.rows = pb.layout.total_rows;
-  ws.num_seqs = pb.layout.size();
-
-  // Refresh the training view's raw pointers from the stable parameter
-  // handles (checkpoint loads replace value buffers, never the autograd
-  // nodes the gradients route through).
-  auto param = [](const nn::Tensor& t) {
-    return nn::PackedTrainParam{t.value().data(), t.impl()};
-  };
-  nn::PackedTrainView& tv = ws.view;
-  tv.model_dim = config_.ModelDim();
-  tv.ff_dim = config_.ff_dim;
-  tv.num_heads = config_.num_heads;
-  tv.num_layers = config_.num_layers;
-  tv.level1_dim = config_.level1_dim;
-  tv.level2_dim = config_.level2_dim;
-  tv.level3_dim = config_.level3_dim;
-  tv.output_dim = output_dim();
-  tv.has_projection = projection_ != nullptr;
-  tv.dropout = config_.dropout;
-  tv.embed1 = param(packed_refs_.embed1);
-  tv.embed2 = param(packed_refs_.embed2);
-  tv.embed3 = param(packed_refs_.embed3);
-  tv.positional = param(packed_refs_.positional);
-  if (tv.layers.size() != packed_refs_.layers.size()) {
-    tv.layers.resize(packed_refs_.layers.size());
-  }
-  for (size_t i = 0; i < packed_refs_.layers.size(); ++i) {
-    const PackedRefs::Layer& src = packed_refs_.layers[i];
-    tv.layers[i] = {param(src.norm1_gamma), param(src.norm1_beta),
-                    param(src.norm2_gamma), param(src.norm2_beta)};
-  }
-  if (tv.sites.size() != packed_refs_.sites.size()) {
-    tv.sites.resize(packed_refs_.sites.size());
-  }
-  for (size_t i = 0; i < packed_refs_.sites.size(); ++i) {
-    tv.sites[i] = {param(packed_refs_.sites[i].weight),
-                   param(packed_refs_.sites[i].bias)};
-  }
-
+  nn::PackedBatch& ws = PackBatch(reversed);
   // Dropout engages exactly when the per-plan path would engage it; the
-  // rate check happens inside the forward.
+  // rate check happens in PackedRetain::Begin.
   util::Rng* rng = training() ? dropout_rng : nullptr;
-  const float* result = nn::PackedTrainForward(ws, rng);
+  const float* result = nn::PackedEncodeForward(
+      ws.view, ws, Fp32Linear{ws.view}, &ws.retain, rng);
 
   // One graph node for the whole batch. Its parents are every parameter
   // the backward writes, so requires_grad propagates; the gradients
   // themselves flow through GradPtr inside PackedTrainBackward, not
   // through graph edges (the parameters are leaves).
-  const int S = ws.num_seqs;
-  const int od = tv.output_dim;
+  const int S = ws.layout.size();
+  const int od = ws.view.output_dim;
   std::vector<std::shared_ptr<nn::Tensor::Impl>> parents;
-  parents.reserve(4 + 4 * packed_refs_.layers.size() +
-                  2 * packed_refs_.sites.size());
-  parents.push_back(packed_refs_.embed1.impl_);
-  parents.push_back(packed_refs_.embed2.impl_);
-  parents.push_back(packed_refs_.embed3.impl_);
-  parents.push_back(packed_refs_.positional.impl_);
-  for (const PackedRefs::Layer& l : packed_refs_.layers) {
-    parents.push_back(l.norm1_gamma.impl_);
-    parents.push_back(l.norm1_beta.impl_);
-    parents.push_back(l.norm2_gamma.impl_);
-    parents.push_back(l.norm2_beta.impl_);
-  }
-  for (const PackedRefs::Site& s : packed_refs_.sites) {
-    parents.push_back(s.weight.impl_);
-    parents.push_back(s.bias.impl_);
-  }
+  parents.reserve(packed_params_.size());
+  for (const nn::Tensor& p : packed_params_) parents.push_back(p.impl_);
   nn::Tensor packed_out =
       nn::Tensor::MakeResult(S, od, parents, nn::Tensor::Fill::kOverwrite);
   std::memcpy(packed_out.value().data(), result,
               sizeof(float) * static_cast<size_t>(S) * od);
-  nn::PackedTrainBatch* wsp = &ws;
+  nn::PackedBatch* wsp = &ws;
   nn::Tensor::Impl* oi = packed_out.impl();
   const uint64_t gen = ws.generation;
   oi->backward_fn = [wsp, oi, gen]() {
@@ -384,58 +338,6 @@ std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatchGrad(
   out.reserve(plans.size());
   for (int ci = 0; ci < S; ++ci) {
     out.push_back(SliceRows(packed_out, S - 1 - ci, 1));
-  }
-  return out;
-}
-
-std::vector<nn::Tensor> TransformerPlanEncoder::EncodeBatch(
-    std::span<const plan::PlanNode* const> plans, util::Rng* dropout_rng) const {
-  if (plans.empty()) return {};
-  if (dropout_rng != nullptr && training()) {
-    // Dropout draws are defined per sequence; the packed path cannot
-    // reproduce them, so training-mode batches take the per-plan loop.
-    return PlanSequenceEncoder::EncodeBatch(plans, dropout_rng);
-  }
-  if (!nn::GradEnabled() && nn::PackedEnvEnabled()) {
-    // Inference batches under NoGradGuard take the columnar packed engine;
-    // the op-chain path below remains for graph-recording callers and as
-    // the QPE_PACKED=0 reference.
-    return EncodeBatchPacked(plans);
-  }
-  // Linearize and pack every plan's (truncated) token sequence into one
-  // ragged batch.
-  TokenIds packed;
-  std::vector<int> lengths;
-  lengths.reserve(plans.size());
-  for (const plan::PlanNode* p : plans) {
-    std::vector<plan::OperatorType> tokens = plan::LinearizeDfsBracket(*p);
-    if (static_cast<int>(tokens.size()) > config_.max_len) {
-      tokens.resize(config_.max_len);
-    }
-    const TokenIds ids = TokensToIds(tokens);
-    packed.level1.insert(packed.level1.end(), ids.level1.begin(),
-                         ids.level1.end());
-    packed.level2.insert(packed.level2.end(), ids.level2.begin(),
-                         ids.level2.end());
-    packed.level3.insert(packed.level3.end(), ids.level3.begin(),
-                         ids.level3.end());
-    lengths.push_back(static_cast<int>(tokens.size()));
-  }
-  const nn::BatchLayout layout = nn::BatchLayout::FromLengths(lengths);
-  // One embedding gather + one transformer pass for the whole batch.
-  const nn::Tensor embedded =
-      nn::ConcatCols({embed1_->Forward(packed.level1),
-                      embed2_->Forward(packed.level2),
-                      embed3_->Forward(packed.level3)});
-  const nn::Tensor contextual = transformer_->ForwardBatch(embedded, layout);
-  // CLS pooling: row 0 of each sequence, gathered into a [B, d] matrix so
-  // the optional projection is itself one batched GEMM.
-  nn::Tensor cls = GatherRows(contextual, layout.offsets);
-  if (projection_ != nullptr) cls = projection_->Forward(cls);
-  std::vector<nn::Tensor> out;
-  out.reserve(plans.size());
-  for (int i = 0; i < layout.size(); ++i) {
-    out.push_back(SliceRows(cls, i, 1));
   }
   return out;
 }

@@ -62,8 +62,8 @@ class PlanSequenceEncoder : public nn::Module {
   // gradients are enabled — result i backpropagates exactly like
   // Encode(*plans[i], dropout_rng) would, gradient bits included. The base
   // implementation is the per-plan loop (which IS that reference);
-  // TransformerPlanEncoder overrides it with the columnar packed training
-  // forward/backward (nn/packed_train.h) so data-parallel training shards
+  // TransformerPlanEncoder overrides it with the packed forward and its
+  // columnar backward (nn/packed_train.h) so data-parallel training shards
   // run one packed pass per shard instead of per-plan op-chain graphs.
   virtual std::vector<nn::Tensor> EncodeBatchGrad(
       std::span<const plan::PlanNode* const> plans,
@@ -102,26 +102,27 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
   nn::Tensor EncodeTokens(const std::vector<plan::OperatorType>& tokens,
                           util::Rng* dropout_rng) const;
 
-  // Batched inference: linearizes all plans, packs the token sequences into
-  // one ragged batch (nn::BatchLayout) and runs a single transformer
-  // forward, so the embedding lookup, q/k/v/output projections, layer
-  // norms and feed-forward GEMMs are amortized across the batch.
-  // Bit-identical to per-plan Encode. With a non-null dropout RNG during
-  // training it falls back to the per-plan path (dropout draws are
-  // per-sequence by contract).
+  // Batched inference: packs the plans' token sequences into one ragged
+  // batch (nn::BatchLayout) and runs the graph-free packed engine
+  // (nn/packed_forward.h) with fp32 GEMMs, so the embedding lookup,
+  // q/k/v/output projections, layer norms and feed-forward GEMMs are
+  // amortized across the batch. Records no graph, whether or not
+  // gradients are enabled: results are plain value tensors. Bitwise equal
+  // to per-plan Encode at the scalar level, within epsilon at vector
+  // levels. With a non-null dropout RNG during training it falls back to
+  // the per-plan path (dropout draws are per-sequence by contract).
   std::vector<nn::Tensor> EncodeBatch(
       std::span<const plan::PlanNode* const> plans,
       util::Rng* dropout_rng) const override;
 
-  // Training fast path: packs the batch (in reverse caller order — see
-  // nn/packed_train.h) and runs the columnar recording forward, returning
-  // slices of one graph node whose backward replays the op chain's
-  // gradient arithmetic through the dispatched backward kernels.
+  // Training path: packs the batch (in reverse caller order — see
+  // nn/packed_train.h) and runs the packed forward with a retain target,
+  // returning slices of one graph node whose backward replays the op
+  // chain's gradient arithmetic through the dispatched backward kernels.
   // Bit-identical to the per-plan loop — values, dropout streams and
   // accumulated parameter gradients — at every SIMD level. Falls back to
   // the per-plan loop under NoGradGuard (it would record no graph there;
-  // eval paths keep their existing numerics) or when QPE_PACKED /
-  // QPE_PACKED_TRAIN disable it.
+  // eval paths keep their existing numerics).
   std::vector<nn::Tensor> EncodeBatchGrad(
       std::span<const plan::PlanNode* const> plans,
       util::Rng* dropout_rng) const override;
@@ -139,29 +140,9 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
       std::span<const plan::PlanNode* const> calibration) const;
 
  private:
-  // Stable Tensor handles to every parameter the packed engine touches,
-  // resolved once from the dotted parameter names. Checkpoint loads
-  // replace a tensor's value *buffer* but not its identity, so the handles
-  // survive LoadCheckpoint; EncodeBatchPacked re-reads the raw data
-  // pointers from them on every call.
-  struct PackedRefs {
-    nn::Tensor embed1, embed2, embed3, positional;
-    struct Layer {
-      nn::Tensor norm1_gamma, norm1_beta, norm2_gamma, norm2_beta;
-    };
-    std::vector<Layer> layers;
-    struct Site {
-      nn::Tensor weight, bias;
-    };
-    std::vector<Site> sites;  // layer-major wq,wk,wv,wo,ff1,ff2; projection
-  };
-
-  // The columnar fast path of EncodeBatch: packs into the thread-local
-  // nn::PackedBatch and runs the graph-free packed engine with fp32 GEMMs.
-  // Bit-identical to the op-chain path at every SIMD level. Engaged only
-  // under an active NoGradGuard (it records no graph) when QPE_PACKED
-  // allows.
-  std::vector<nn::Tensor> EncodeBatchPacked(
+  // Packs `plans` into the thread-local nn::PackedBatch and points its
+  // model view at this encoder's parameters.
+  nn::PackedBatch& PackBatch(
       std::span<const plan::PlanNode* const> plans) const;
 
   StructureEncoderConfig config_;
@@ -170,7 +151,14 @@ class TransformerPlanEncoder : public PlanSequenceEncoder {
   nn::Embedding* embed3_;
   nn::TransformerEncoder* transformer_;
   nn::Linear* projection_ = nullptr;  // only when output_dim != model dim
-  PackedRefs packed_refs_;
+  // Stable handles to every parameter the packed engine touches, resolved
+  // once from the dotted parameter names, in view order: embed1, embed2,
+  // embed3, positional, then per layer norm1 gamma/beta and norm2
+  // gamma/beta, then per GEMM site weight and bias. Checkpoint loads
+  // replace a tensor's value buffer but not its identity, so the handles
+  // survive LoadCheckpoint; PackBatch re-reads the raw data pointers from
+  // them on every call.
+  std::vector<nn::Tensor> packed_params_;
 };
 
 // LSTM baseline over the same linearization (LSTM-PPSR in §6.1).

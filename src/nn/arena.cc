@@ -1,7 +1,6 @@
 #include "nn/arena.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -13,15 +12,21 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 
 // Registry of live arenas plus the accumulated counters of destroyed ones
 // (thread_local arenas die with their thread; their traffic must still show
-// up in GlobalMemoryStats).
-std::mutex g_registry_mu;
+// up in GlobalMemoryStats). All three are leaked, never destroyed: a pool
+// worker's thread_local arena can be destroyed after static destruction
+// has begun at exit, and its destructor still erases itself from the
+// registry under the mutex.
+std::mutex& RegistryMu() {
+  static std::mutex* mu = new std::mutex;
+  return *mu;
+}
 std::vector<const TensorArena*>& Registry() {
-  static std::vector<const TensorArena*> registry;
-  return registry;
+  static auto* registry = new std::vector<const TensorArena*>;
+  return *registry;
 }
 MemoryStats& RetiredStats() {
-  static MemoryStats retired;
-  return retired;
+  static auto* retired = new MemoryStats;
+  return *retired;
 }
 
 void Accumulate(MemoryStats* total, const MemoryStats& s) {
@@ -36,10 +41,7 @@ void Accumulate(MemoryStats* total, const MemoryStats& s) {
 
 thread_local TensorArena* tl_current_arena = nullptr;
 
-std::atomic<bool> g_enabled{[] {
-  const char* env = std::getenv("QPE_ARENA");
-  return !(env != nullptr && env[0] == '0');
-}()};
+std::atomic<bool> g_enabled{true};
 
 // Smallest bucket such that n floats fit in 2^bucket.
 int BucketFor(size_t n) {
@@ -51,12 +53,12 @@ int BucketFor(size_t n) {
 }  // namespace
 
 TensorArena::TensorArena() {
-  std::lock_guard<std::mutex> lock(g_registry_mu);
+  std::lock_guard<std::mutex> lock(RegistryMu());
   Registry().push_back(this);
 }
 
 TensorArena::~TensorArena() {
-  std::lock_guard<std::mutex> lock(g_registry_mu);
+  std::lock_guard<std::mutex> lock(RegistryMu());
   Accumulate(&RetiredStats(), stats());
   auto& registry = Registry();
   for (size_t i = 0; i < registry.size(); ++i) {
@@ -199,7 +201,7 @@ ArenaScope::~ArenaScope() {
 }
 
 MemoryStats GlobalMemoryStats() {
-  std::lock_guard<std::mutex> lock(g_registry_mu);
+  std::lock_guard<std::mutex> lock(RegistryMu());
   MemoryStats total = RetiredStats();
   for (const TensorArena* arena : Registry()) {
     Accumulate(&total, arena->stats());

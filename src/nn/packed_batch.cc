@@ -14,6 +14,7 @@ std::atomic<uint64_t> g_growth_events{0};
 }  // namespace
 
 void PackedBatch::BeginBatch() {
+  ++generation;
   pack_capacity_snapshot_ = PackCapacitySum();
   ids1.clear();
   ids2.clear();
@@ -69,20 +70,6 @@ size_t PackedBatch::PackCapacitySum() const {
 }
 
 void PackedBatch::EnsureF(std::vector<float>* buf, size_t n) {
-  if (buf->capacity() < n) {
-    g_growth_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (buf->size() < n) buf->resize(n);
-}
-
-void PackedBatch::EnsureI(std::vector<int>* buf, size_t n) {
-  if (buf->capacity() < n) {
-    g_growth_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (buf->size() < n) buf->resize(n);
-}
-
-void PackedBatch::EnsureI8(std::vector<int8_t>* buf, size_t n) {
   if (buf->capacity() < n) {
     g_growth_events.fetch_add(1, std::memory_order_relaxed);
   }

@@ -7,18 +7,9 @@
 
 #include "nn/packed_batch.h"
 #include "nn/simd.h"
+#include "util/rng.h"
 
 namespace qpe::nn {
-
-// Pipeline knobs, re-read from the environment on every call so tests can
-// A/B both settings in one process with setenv. Both default on.
-//
-// QPE_PACKED=0: the fp32 encoder falls back to its tensor op-chain
-// EncodeBatch instead of the packed engine (the engine itself ignores it).
-bool PackedEnvEnabled();
-// QPE_HEAD_BLOCK=0: the engine keeps the interleaved attention kernel
-// instead of repacking K/V into head blocks.
-bool HeadBlockEnabled();
 
 // Repacks the interleaved key projection k [rows, dim] into kbt
 // [head][head_dim][rows]: row (h, c) of kbt holds column h*head_dim + c of
@@ -30,30 +21,40 @@ void RepackHeadsKT(const float* k, int rows, int dim, int num_heads,
 void RepackHeadsVB(const float* v, int rows, int dim, int num_heads,
                    float* vb);
 
-// The shared packed inference skeleton: embedding gather -> pre-norm
-// attention blocks -> pre-norm feed-forward blocks -> CLS pooling ->
-// optional output projection, all over raw contiguous buffers in `ws`.
-// The caller packs the batch first (ws.ids*/ws.layout via
-// encoder::PackPlansColumns) and supplies every GEMM through `linear(site,
-// x, m, in, out, y, relu)`; sites are layer-major wq, wk, wv, wo, ff1, ff2,
-// then the projection at num_layers * 6. `relu` is true exactly for the
-// ff1 site — the callback owns the activation so a fused implementation
-// (simd linear_bias_act) can apply it in the GEMM epilogue; implementations
-// must reproduce BiasRelu's `> 0` clamp bit for bit. Returns a pointer into ws (ws.cls or
-// ws.proj) holding the [num_seqs, output_dim] result — valid until the
-// workspace's next use.
+// The one batched transformer forward, for inference and training:
+// embedding gather -> pre-norm attention blocks -> pre-norm feed-forward
+// blocks -> CLS pooling -> optional output projection, all over raw
+// contiguous buffers in `ws`. The caller packs the batch first
+// (ws.ids*/ws.layout via encoder::PackPlansColumns) and supplies every GEMM
+// through `linear(site, x, m, in, out, y, relu)`; sites are layer-major wq,
+// wk, wv, wo, ff1, ff2, then the projection at num_layers * 6. `relu` is
+// true exactly for the ff1 site — the callback owns the activation so a
+// fused implementation (simd linear_bias_act) can apply it in the GEMM
+// epilogue; implementations must reproduce BiasRelu's `> 0` clamp bit for
+// bit. Returns a pointer into ws (ws.cls or ws.proj) holding the
+// [num_seqs, output_dim] result — valid until the workspace's next use.
+//
+// `retain` is null at inference, where one set of workspace buffers is
+// overwritten layer after layer. A training forward passes a retain
+// target: each layer then writes its activations there for
+// PackedTrainBackward, and a non-null `dropout_rng` with mv.dropout > 0
+// draws dropout masks (PackedRetain::Begin) applied to the attention and
+// feed-forward branches before their residual adds.
 //
 // Numerics: every kernel call and elementwise loop below reproduces the
 // tensor op chain's arithmetic per output element (the ReLU clamp uses
 // BiasRelu's `> 0` select so -0.0 maps to +0.0 exactly like the fused
 // kernel), so with an exact fp32 `linear` this forward is bit-identical to
 // per-plan Encode at the scalar level and epsilon-equal at vector levels
-// (the one sanctioned divergence is the vector exp). The head-blocked
-// attention kernel is bit-identical to the interleaved one at every level,
-// so QPE_HEAD_BLOCK changes addressing, never bits.
+// (the one sanctioned divergence is the vector exp of the attention
+// softmax). The head-blocked attention kernel used here matches the
+// interleaved kernel of the per-plan op chain bit for bit at every level,
+// so a training forward reproduces the per-plan activations exactly.
 template <typename LinearFn>
 const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
-                                 LinearFn&& linear) {
+                                 LinearFn&& linear,
+                                 PackedRetain* retain = nullptr,
+                                 util::Rng* dropout_rng = nullptr) {
   const BatchLayout& layout = ws.layout;
   const int rows = layout.total_rows;
   const int num_seqs = layout.size();
@@ -63,65 +64,87 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
   const int head_dim = d / mv.num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const simd::Kernels& kern = simd::K();
-  const bool blocked = HeadBlockEnabled();
 
+  int max_len = 0;
+  for (const int len : layout.lengths) {
+    if (len > max_len) max_len = len;
+  }
   const size_t rd = static_cast<size_t>(rows) * d;
   ws.EnsureF(&ws.h, rd);
   ws.EnsureF(&ws.normed, rd);
-  ws.EnsureF(&ws.q, rd);
-  ws.EnsureF(&ws.k, rd);
-  ws.EnsureF(&ws.v, rd);
-  ws.EnsureF(&ws.ctx, rd);
-  ws.EnsureF(&ws.ff, static_cast<size_t>(rows) * f);
+  ws.EnsureF(&ws.kbt, rd);
+  ws.EnsureF(&ws.vb, rd);
+  ws.EnsureF(&ws.probs, static_cast<size_t>(max_len) * max_len);
   ws.EnsureF(&ws.cls, static_cast<size_t>(num_seqs) * d);
-  if (blocked) {
-    int max_len = 0;
-    for (const int len : layout.lengths) {
-      if (len > max_len) max_len = len;
-    }
-    ws.EnsureF(&ws.kbt, rd);
-    ws.EnsureF(&ws.vb, rd);
-    ws.EnsureF(&ws.probs, static_cast<size_t>(max_len) * max_len);
+  if (retain != nullptr) {
+    retain->Begin(mv, layout, dropout_rng);
+  } else {
+    ws.EnsureF(&ws.q, rd);
+    ws.EnsureF(&ws.k, rd);
+    ws.EnsureF(&ws.v, rd);
+    ws.EnsureF(&ws.ctx, rd);
+    ws.EnsureF(&ws.ff, static_cast<size_t>(rows) * f);
   }
+  const bool dropout = retain != nullptr && retain->used_dropout;
 
-  kern.embed_gather_add(mv.embed1, mv.embed2, mv.embed3, mv.positional,
-                        ws.ids1.data(), ws.ids2.data(), ws.ids3.data(),
-                        layout.positions.data(), ws.h.data(), rows,
+  float* h = retain != nullptr ? retain->layers[0].x.data() : ws.h.data();
+  kern.embed_gather_add(mv.embed1.v, mv.embed2.v, mv.embed3.v,
+                        mv.positional.v, ws.ids1.data(), ws.ids2.data(),
+                        ws.ids3.data(), layout.positions.data(), h, rows,
                         mv.level1_dim, mv.level2_dim, mv.level3_dim);
 
-  float* h = ws.h.data();
-  float* normed = ws.normed.data();
-  float* ff = ws.ff.data();
+  float* tmp = ws.normed.data();
   for (int li = 0; li < mv.num_layers; ++li) {
     const PackedLayerView& lp = mv.layers[li];
     const int base = li * 6;
+    // Inference reuses the workspace buffers in place (normed doubles as
+    // the norm outputs, hm and the layer output alias h); a retain target
+    // gets a separate buffer per activation and layer.
+    PackedLayerActs* acts = retain != nullptr ? &retain->layers[li] : nullptr;
+    float* n1 = acts != nullptr ? acts->n1.data() : tmp;
+    float* q = acts != nullptr ? acts->q.data() : ws.q.data();
+    float* k = acts != nullptr ? acts->k.data() : ws.k.data();
+    float* v = acts != nullptr ? acts->v.data() : ws.v.data();
+    float* att = acts != nullptr ? acts->att.data() : ws.ctx.data();
+    float* hm = acts != nullptr ? acts->hm.data() : h;
+    float* n2 = acts != nullptr ? acts->n2.data() : tmp;
+    float* ffa = acts != nullptr ? acts->ffa.data() : ws.ff.data();
+    float* out = acts == nullptr               ? h
+                 : li + 1 < mv.num_layers ? retain->layers[li + 1].x.data()
+                                          : ws.h.data();
+
     // Pre-norm attention block with residual.
-    kern.layer_norm_rows(h, lp.norm1_gamma, lp.norm1_beta, normed, rows, d,
+    kern.layer_norm_rows(h, lp.norm1_gamma.v, lp.norm1_beta.v, n1, rows, d,
                          invd);
-    linear(base + 0, normed, rows, d, d, ws.q.data(), false);
-    linear(base + 1, normed, rows, d, d, ws.k.data(), false);
-    linear(base + 2, normed, rows, d, d, ws.v.data(), false);
-    if (blocked) {
-      RepackHeadsKT(ws.k.data(), rows, d, mv.num_heads, ws.kbt.data());
-      RepackHeadsVB(ws.v.data(), rows, d, mv.num_heads, ws.vb.data());
-      kern.attention_forward_blocked(
-          ws.q.data(), ws.kbt.data(), ws.vb.data(), ws.ctx.data(),
-          layout.offsets.data(), layout.lengths.data(), num_seqs,
-          mv.num_heads, rows, d, scale, ws.probs.data());
-    } else {
-      kern.attention_forward_packed(ws.q.data(), ws.k.data(), ws.v.data(),
-                                    ws.ctx.data(), layout.offsets.data(),
-                                    layout.lengths.data(), num_seqs,
-                                    mv.num_heads, d, scale);
+    linear(base + 0, n1, rows, d, d, q, false);
+    linear(base + 1, n1, rows, d, d, k, false);
+    linear(base + 2, n1, rows, d, d, v, false);
+    RepackHeadsKT(k, rows, d, mv.num_heads, ws.kbt.data());
+    RepackHeadsVB(v, rows, d, mv.num_heads, ws.vb.data());
+    kern.attention_forward_blocked(q, ws.kbt.data(), ws.vb.data(), att,
+                                   layout.offsets.data(),
+                                   layout.lengths.data(), num_seqs,
+                                   mv.num_heads, rows, d, scale,
+                                   ws.probs.data());
+    linear(base + 3, att, rows, d, d, tmp, false);
+    if (dropout) {
+      const float* m = acts->mask_att.data();
+      for (size_t i = 0; i < rd; ++i) tmp[i] *= m[i];
     }
-    linear(base + 3, ws.ctx.data(), rows, d, d, normed, false);
-    kern.add_rows(h, normed, rd);
+    if (hm != h) std::memcpy(hm, h, sizeof(float) * rd);
+    kern.add_rows(hm, tmp, rd);
     // Pre-norm feed-forward block (ReLU) with residual.
-    kern.layer_norm_rows(h, lp.norm2_gamma, lp.norm2_beta, normed, rows, d,
+    kern.layer_norm_rows(hm, lp.norm2_gamma.v, lp.norm2_beta.v, n2, rows, d,
                          invd);
-    linear(base + 4, normed, rows, d, f, ff, /*relu=*/true);
-    linear(base + 5, ff, rows, f, d, normed, false);
-    kern.add_rows(h, normed, rd);
+    linear(base + 4, n2, rows, d, f, ffa, /*relu=*/true);
+    linear(base + 5, ffa, rows, f, d, tmp, false);
+    if (dropout) {
+      const float* m = acts->mask_ff.data();
+      for (size_t i = 0; i < rd; ++i) tmp[i] *= m[i];
+    }
+    if (out != hm) std::memcpy(out, hm, sizeof(float) * rd);
+    kern.add_rows(out, tmp, rd);
+    h = out;
   }
 
   // CLS pooling, then the optional output projection on the [B, d] matrix.

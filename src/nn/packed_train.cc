@@ -18,43 +18,25 @@ void Ensure(std::vector<float>* buf, size_t n) {
 // Gradient pointer for one parameter, resolved at backward time so a
 // GradientCapture alive on this thread redirects the write into its shard
 // buffer — exactly like the op-chain closures.
-float* Gp(const PackedTrainParam& p) {
+float* Gp(const PackedParam& p) {
   return p.impl != nullptr && p.impl->requires_grad ? GradPtr(p.impl) : nullptr;
 }
 
 }  // namespace
 
-bool PackedTrainEnvEnabled() {
-  const char* v = std::getenv("QPE_PACKED_TRAIN");
-  return v == nullptr || std::strcmp(v, "0") != 0;
-}
-
-PackedTrainBatch& PackedTrainBatch::ThreadLocal() {
-  thread_local PackedTrainBatch ws;
-  return ws;
-}
-
-const float* PackedTrainForward(PackedTrainBatch& ws, util::Rng* rng) {
-  const PackedTrainView& view = ws.view;
-  const simd::Kernels& kern = simd::K();
-  const int rows = ws.rows;
-  const int S = ws.num_seqs;
-  const int d = view.model_dim;
-  const int f = view.ff_dim;
-  const float invd = 1.0f / static_cast<float>(d);
-  const int head_dim = d / view.num_heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+void PackedRetain::Begin(const PackedModelView& mv, const BatchLayout& layout,
+                         util::Rng* rng) {
+  const int rows = layout.total_rows;
+  const int S = layout.size();
+  const int d = mv.model_dim;
   const size_t rd = static_cast<size_t>(rows) * d;
-  const size_t rf = static_cast<size_t>(rows) * f;
-
-  ++ws.generation;
-  ws.used_dropout = rng != nullptr && view.dropout > 0.0f;
-
-  if (static_cast<int>(ws.layers.size()) < view.num_layers) {
-    ws.layers.resize(view.num_layers);
+  const size_t rf = static_cast<size_t>(rows) * mv.ff_dim;
+  used_dropout = rng != nullptr && mv.dropout > 0.0f;
+  if (static_cast<int>(layers.size()) < mv.num_layers) {
+    layers.resize(mv.num_layers);
   }
-  for (int li = 0; li < view.num_layers; ++li) {
-    PackedTrainLayerActs& acts = ws.layers[li];
+  for (int li = 0; li < mv.num_layers; ++li) {
+    PackedLayerActs& acts = layers[li];
     Ensure(&acts.x, rd);
     Ensure(&acts.n1, rd);
     Ensure(&acts.q, rd);
@@ -64,112 +46,46 @@ const float* PackedTrainForward(PackedTrainBatch& ws, util::Rng* rng) {
     Ensure(&acts.hm, rd);
     Ensure(&acts.n2, rd);
     Ensure(&acts.ffa, rf);
-    if (ws.used_dropout) {
+    if (used_dropout) {
       Ensure(&acts.mask_att, rd);
       Ensure(&acts.mask_ff, rd);
     }
   }
-  Ensure(&ws.hout, rd);
-  Ensure(&ws.cls, static_cast<size_t>(S) * d);
-  Ensure(&ws.scratch, rd);
-
-  // Dropout masks are drawn up front, consuming the RNG stream in the
-  // exact order the per-plan op chain does: plans in caller order (caller
-  // plan ci is packed sequence S-1-ci under the reversed packing), and
-  // within a plan layer by layer, attention mask before feed-forward
-  // mask, row-major over the plan's rows.
-  if (ws.used_dropout) {
-    const float p = view.dropout;
-    const float keep = 1.0f / (1.0f - p);
-    for (int ci = 0; ci < S; ++ci) {
-      const int s = S - 1 - ci;
-      const size_t base = static_cast<size_t>(ws.offsets[s]) * d;
-      const size_t count = static_cast<size_t>(ws.lengths[s]) * d;
-      for (int li = 0; li < view.num_layers; ++li) {
-        PackedTrainLayerActs& acts = ws.layers[li];
-        float* ma = acts.mask_att.data() + base;
-        for (size_t i = 0; i < count; ++i) {
-          ma[i] = rng->Bernoulli(p) ? 0.0f : keep;
-        }
-        float* mf = acts.mask_ff.data() + base;
-        for (size_t i = 0; i < count; ++i) {
-          mf[i] = rng->Bernoulli(p) ? 0.0f : keep;
-        }
+  if (!used_dropout) return;
+  const float p = mv.dropout;
+  const float keep = 1.0f / (1.0f - p);
+  for (int ci = 0; ci < S; ++ci) {
+    const int s = S - 1 - ci;
+    const size_t base = static_cast<size_t>(layout.offsets[s]) * d;
+    const size_t count = static_cast<size_t>(layout.lengths[s]) * d;
+    for (int li = 0; li < mv.num_layers; ++li) {
+      PackedLayerActs& acts = layers[li];
+      float* ma = acts.mask_att.data() + base;
+      for (size_t i = 0; i < count; ++i) {
+        ma[i] = rng->Bernoulli(p) ? 0.0f : keep;
+      }
+      float* mf = acts.mask_ff.data() + base;
+      for (size_t i = 0; i < count; ++i) {
+        mf[i] = rng->Bernoulli(p) ? 0.0f : keep;
       }
     }
   }
-
-  auto linear = [&](int site, const float* x, int m, int in, int out, float* y,
-                    int relu) {
-    const PackedTrainSite& s = view.sites[site];
-    kern.linear_bias_act(x, s.weight.v, s.bias.v, y, m, in, out, relu);
-  };
-
-  kern.embed_gather_add(view.embed1.v, view.embed2.v, view.embed3.v,
-                        view.positional.v, ws.ids1.data(), ws.ids2.data(),
-                        ws.ids3.data(), ws.positions.data(),
-                        ws.layers[0].x.data(), rows, view.level1_dim,
-                        view.level2_dim, view.level3_dim);
-
-  float* scratch = ws.scratch.data();
-  for (int li = 0; li < view.num_layers; ++li) {
-    PackedTrainLayerActs& acts = ws.layers[li];
-    const PackedTrainLayerParams& lp = view.layers[li];
-    const int base = li * 6;
-    kern.layer_norm_rows(acts.x.data(), lp.norm1_gamma.v, lp.norm1_beta.v,
-                         acts.n1.data(), rows, d, invd);
-    linear(base + 0, acts.n1.data(), rows, d, d, acts.q.data(), 0);
-    linear(base + 1, acts.n1.data(), rows, d, d, acts.k.data(), 0);
-    linear(base + 2, acts.n1.data(), rows, d, d, acts.v.data(), 0);
-    kern.attention_forward_packed(acts.q.data(), acts.k.data(), acts.v.data(),
-                                  acts.att.data(), ws.offsets.data(),
-                                  ws.lengths.data(), S, view.num_heads, d,
-                                  scale);
-    linear(base + 3, acts.att.data(), rows, d, d, scratch, 0);
-    if (ws.used_dropout) {
-      const float* m = acts.mask_att.data();
-      for (size_t i = 0; i < rd; ++i) scratch[i] *= m[i];
-    }
-    std::memcpy(acts.hm.data(), acts.x.data(), sizeof(float) * rd);
-    kern.add_rows(acts.hm.data(), scratch, rd);
-    kern.layer_norm_rows(acts.hm.data(), lp.norm2_gamma.v, lp.norm2_beta.v,
-                         acts.n2.data(), rows, d, invd);
-    linear(base + 4, acts.n2.data(), rows, d, f, acts.ffa.data(), 1);
-    linear(base + 5, acts.ffa.data(), rows, f, d, scratch, 0);
-    if (ws.used_dropout) {
-      const float* m = acts.mask_ff.data();
-      for (size_t i = 0; i < rd; ++i) scratch[i] *= m[i];
-    }
-    float* xout = li + 1 < view.num_layers ? ws.layers[li + 1].x.data()
-                                           : ws.hout.data();
-    std::memcpy(xout, acts.hm.data(), sizeof(float) * rd);
-    kern.add_rows(xout, scratch, rd);
-  }
-
-  float* cls = ws.cls.data();
-  for (int s = 0; s < S; ++s) {
-    std::memcpy(cls + static_cast<size_t>(s) * d,
-                ws.hout.data() + static_cast<size_t>(ws.offsets[s]) * d,
-                sizeof(float) * d);
-  }
-  if (!view.has_projection) return cls;
-  Ensure(&ws.proj, static_cast<size_t>(S) * view.output_dim);
-  linear(view.num_layers * 6, cls, S, d, view.output_dim, ws.proj.data(), 0);
-  return ws.proj.data();
 }
 
-void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
+void PackedTrainBackward(PackedBatch& ws, const float* out_grad,
                          uint64_t generation) {
   if (ws.generation != generation) {
     std::fprintf(stderr,
-                 "PackedTrainBackward: retained activations were overwritten "
-                 "by a newer forward before Backward() ran\n");
+                 "PackedTrainBackward: the packed workspace was repacked "
+                 "before Backward() ran\n");
     std::abort();
   }
-  const PackedTrainView& view = ws.view;
+  const PackedModelView& view = ws.view;
+  const BatchLayout& layout = ws.layout;
+  PackedRetain& rt = ws.retain;
   const simd::Kernels& kern = simd::K();
-  const int rows = ws.rows;
-  const int S = ws.num_seqs;
+  const int rows = layout.total_rows;
+  const int S = layout.size();
   const int d = view.model_dim;
   const int f = view.ff_dim;
   const int od = view.output_dim;
@@ -179,34 +95,34 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
   const size_t rd = static_cast<size_t>(rows) * d;
   const size_t rf = static_cast<size_t>(rows) * f;
 
-  Ensure(&ws.d_h, rd);
-  Ensure(&ws.d_tmp, rd);
-  Ensure(&ws.d_att, rd);
-  Ensure(&ws.d_q, rd);
-  Ensure(&ws.d_k, rd);
-  Ensure(&ws.d_v, rd);
-  Ensure(&ws.d_n1, rd);
-  Ensure(&ws.d_n2, rd);
-  Ensure(&ws.d_act, rf);
-  Ensure(&ws.d_pre, rf);
-  float* d_h = ws.d_h.data();
-  float* d_tmp = ws.d_tmp.data();
-  float* d_att = ws.d_att.data();
-  float* d_q = ws.d_q.data();
-  float* d_k = ws.d_k.data();
-  float* d_v = ws.d_v.data();
-  float* d_n1 = ws.d_n1.data();
-  float* d_n2 = ws.d_n2.data();
-  float* d_act = ws.d_act.data();
-  float* d_pre = ws.d_pre.data();
+  Ensure(&rt.d_h, rd);
+  Ensure(&rt.d_tmp, rd);
+  Ensure(&rt.d_att, rd);
+  Ensure(&rt.d_q, rd);
+  Ensure(&rt.d_k, rd);
+  Ensure(&rt.d_v, rd);
+  Ensure(&rt.d_n1, rd);
+  Ensure(&rt.d_n2, rd);
+  Ensure(&rt.d_act, rf);
+  Ensure(&rt.d_pre, rf);
+  float* d_h = rt.d_h.data();
+  float* d_tmp = rt.d_tmp.data();
+  float* d_att = rt.d_att.data();
+  float* d_q = rt.d_q.data();
+  float* d_k = rt.d_k.data();
+  float* d_v = rt.d_v.data();
+  float* d_n1 = rt.d_n1.data();
+  float* d_n2 = rt.d_n2.data();
+  float* d_act = rt.d_act.data();
+  float* d_pre = rt.d_pre.data();
 
   // Projection backward (when present), then scatter each sequence's
   // pooled-CLS gradient back onto its first packed row.
   const float* d_cls_rows = out_grad;
   if (view.has_projection) {
-    const PackedTrainSite& ps = view.sites[view.num_layers * 6];
-    Ensure(&ws.d_cls, static_cast<size_t>(S) * d);
-    float* d_cls = ws.d_cls.data();
+    const PackedSiteView& ps = view.sites[view.num_layers * 6];
+    Ensure(&rt.d_cls, static_cast<size_t>(S) * d);
+    float* d_cls = rt.d_cls.data();
     std::fill_n(d_cls, static_cast<size_t>(S) * d, 0.0f);
     kern.matmul_backward_a(out_grad, ps.weight.v, d_cls, 0, S, d, od);
     if (float* wg = Gp(ps.weight)) {
@@ -221,7 +137,7 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
   }
   std::fill_n(d_h, rd, 0.0f);
   for (int s = 0; s < S; ++s) {
-    kern.add_rows(d_h + static_cast<size_t>(ws.offsets[s]) * d,
+    kern.add_rows(d_h + static_cast<size_t>(layout.offsets[s]) * d,
                   d_cls_rows + static_cast<size_t>(s) * d, d);
   }
 
@@ -229,20 +145,20 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
   // current step consumes: the layer output on entry, the post-attention
   // residual after the norm2 step, the layer input after the norm1 step.
   for (int li = view.num_layers - 1; li >= 0; --li) {
-    PackedTrainLayerActs& acts = ws.layers[li];
-    const PackedTrainLayerParams& lp = view.layers[li];
+    const PackedLayerActs& acts = rt.layers[li];
+    const PackedLayerView& lp = view.layers[li];
     const int base = li * 6;
 
     // Feed-forward branch of the output residual (through the ff dropout
     // mask when one was drawn).
-    if (ws.used_dropout) {
+    if (rt.used_dropout) {
       std::fill_n(d_tmp, rd, 0.0f);
       const float* m = acts.mask_ff.data();
       for (size_t i = 0; i < rd; ++i) d_tmp[i] += d_h[i] * m[i];
     } else {
       std::memcpy(d_tmp, d_h, sizeof(float) * rd);
     }
-    const PackedTrainSite& ff2 = view.sites[base + 5];
+    const PackedSiteView& ff2 = view.sites[base + 5];
     std::fill_n(d_act, rf, 0.0f);
     kern.matmul_backward_a(d_tmp, ff2.weight.v, d_act, 0, rows, f, d);
     if (float* wg = Gp(ff2.weight)) {
@@ -253,7 +169,7 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
         kern.add_rows(bg, d_tmp + static_cast<size_t>(i) * d, d);
       }
     }
-    const PackedTrainSite& ff1 = view.sites[base + 4];
+    const PackedSiteView& ff1 = view.sites[base + 4];
     std::fill_n(d_pre, rf, 0.0f);
     kern.bias_act_backward(acts.ffa.data(), d_act, d_pre, Gp(ff1.bias), rows,
                            f);
@@ -267,14 +183,14 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
                                   d, invd);
 
     // Attention branch of the post-attention residual.
-    if (ws.used_dropout) {
+    if (rt.used_dropout) {
       std::fill_n(d_tmp, rd, 0.0f);
       const float* m = acts.mask_att.data();
       for (size_t i = 0; i < rd; ++i) d_tmp[i] += d_h[i] * m[i];
     } else {
       std::memcpy(d_tmp, d_h, sizeof(float) * rd);
     }
-    const PackedTrainSite& wo = view.sites[base + 3];
+    const PackedSiteView& wo = view.sites[base + 3];
     std::fill_n(d_att, rd, 0.0f);
     kern.matmul_backward_a(d_tmp, wo.weight.v, d_att, 0, rows, d, d);
     if (float* wg = Gp(wo.weight)) {
@@ -289,8 +205,8 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
     std::fill_n(d_k, rd, 0.0f);
     std::fill_n(d_v, rd, 0.0f);
     kern.attention_backward_packed(acts.q.data(), acts.k.data(), acts.v.data(),
-                                   d_att, d_q, d_k, d_v, ws.offsets.data(),
-                                   ws.lengths.data(), S, view.num_heads, d,
+                                   d_att, d_q, d_k, d_v, layout.offsets.data(),
+                                   layout.lengths.data(), S, view.num_heads, d,
                                    scale);
     std::fill_n(d_n1, rd, 0.0f);
     // The op chain backpropagates the projections in reverse build order:
@@ -298,7 +214,7 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
     const float* d_proj[3] = {d_v, d_k, d_q};
     const int proj_site[3] = {base + 2, base + 1, base + 0};
     for (int p = 0; p < 3; ++p) {
-      const PackedTrainSite& site = view.sites[proj_site[p]];
+      const PackedSiteView& site = view.sites[proj_site[p]];
       kern.matmul_backward_a(d_proj[p], site.weight.v, d_n1, 0, rows, d, d);
       if (float* wg = Gp(site.weight)) {
         kern.matmul_backward_b(acts.n1.data(), d_proj[p], wg, 0, d, rows, d,
@@ -326,7 +242,7 @@ void PackedTrainBackward(PackedTrainBatch& ws, const float* out_grad,
   for (int r = 0; r < rows; ++r) {
     const float* g = d_h + static_cast<size_t>(r) * d;
     if (pg != nullptr) {
-      kern.add_rows(pg + static_cast<size_t>(ws.positions[r]) * d, g, d);
+      kern.add_rows(pg + static_cast<size_t>(layout.positions[r]) * d, g, d);
     }
     if (e1g != nullptr) {
       kern.add_rows(e1g + static_cast<size_t>(ws.ids1[r]) * d1, g, d1);

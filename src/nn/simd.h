@@ -61,15 +61,6 @@ struct Kernels {
                                    const int* offsets, const int* lengths,
                                    int num_seqs, int num_heads, int dim,
                                    float scale);
-  // Quantized GEMM with int32 accumulation:
-  //   c[i, j] = dot(a[i, :], b[j, :]) * a_scale[i] * b_scale[j] + bias[j]
-  // a is [m, k] row-major int8 (quantized activations), b is [n, k] —
-  // each output channel's weights contiguous (column-major of the [k, n]
-  // weight matrix), bias may be null. The integer accumulation is exact,
-  // so results are bit-identical across levels.
-  void (*int8_gemm)(const int8_t* a, const int8_t* b, float* c, int m, int k,
-                    int n, const float* a_scale, const float* b_scale,
-                    const float* bias);
   // Fused embedding gather + positional add for the packed batch pipeline:
   //   out[r, :] = concat(e1[ids1[r]], e2[ids2[r]], e3[ids3[r]]) +
   //               pos[positions[r], :]
@@ -102,10 +93,11 @@ struct Kernels {
   // widening them once at pack time removes the per-step sign-extension
   // shuffles from the hot loop (on AVX2 that was 4 of the 5 shuffles per
   // k-block). a is [m, Int8PackedKPad(k)] row-major int8 with the k tail
-  // of every row zeroed by the caller. Same dequantization as int8_gemm;
-  // the padded entries contribute exact zeros to the integer dots, so the
-  // result is bit-identical to int8_gemm on the unpacked operands —
-  // across levels and across the two layouts.
+  // of every row zeroed by the caller. Dequantization:
+  //   c[i, j] = dot(a[i, :], w[j, :]) * a_scale[i] * b_scale[j] + bias[j]
+  // with bias possibly null. The integer accumulation is exact and the
+  // padded entries contribute exact zeros, so the result equals plain
+  // int32 dots on the unpacked operands, bit for bit at every level.
   void (*int8_gemm_packed)(const int8_t* a, const int16_t* bp, float* c,
                            int m, int k, int n, const float* a_scale,
                            const float* b_scale, const float* bias);
@@ -216,7 +208,7 @@ inline size_t Int8PackedSize(int k, int n) {
   return tiles * static_cast<size_t>(Int8PackedKPad(k)) * kInt8TileN;
 }
 
-// Repacks channel-contiguous int8 weights w [n][k] (the int8_gemm layout)
+// Repacks channel-contiguous int8 weights w [n][k]
 // into the tiled layout int8_gemm_packed consumes:
 //   packed[((t*KB + b)*kInt8TileN + ch)*kInt8TileK + kk] = w[(t*kInt8TileN +
 //   ch)][b*kInt8TileK + kk]

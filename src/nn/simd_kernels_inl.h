@@ -1586,7 +1586,7 @@ inline void QuantizeBufferRef(const float* x, int n, float inv_scale,
 // Reference walk of the packed int8 tile layout (see simd.h). Integer
 // accumulation is exact in any order, so this is the bit-exactness anchor
 // for the vector micro-kernels — and, because the padding contributes
-// exact zeros, for plain int8_gemm on the unpacked operands too.
+// exact zeros, equal to plain int32 dots on the unpacked operands too.
 inline void Int8GemmPackedRef(const int8_t* a, const int16_t* bp, float* c,
                               int m, int k, int n, const float* a_scale,
                               const float* b_scale, const float* bias) {

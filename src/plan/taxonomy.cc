@@ -104,7 +104,17 @@ std::string OperatorType::ToString(bool full) const {
 }
 
 bool OperatorType::operator<(const OperatorType& other) const {
-  return ToString(true) < other.ToString(true);
+  // The order of the ToString(true) strings without building them: every
+  // taxonomy name uses only characters above the '-' separator, so a name
+  // sorts before any longer name it prefixes either way.
+  const Taxonomy& tax = Taxonomy::Get();
+  const std::string_view a1 = tax.Level1Name(level1);
+  const std::string_view b1 = tax.Level1Name(other.level1);
+  if (a1 != b1) return a1 < b1;
+  const std::string_view a2 = tax.Level2Name(level2);
+  const std::string_view b2 = tax.Level2Name(other.level2);
+  if (a2 != b2) return a2 < b2;
+  return tax.Level3Name(level3) < tax.Level3Name(other.level3);
 }
 
 OperatorGroup GroupOf(const OperatorType& type) {

@@ -26,6 +26,28 @@ namespace {
 constexpr double kInfiniteDeadline = std::numeric_limits<double>::infinity();
 constexpr int kPollTimeoutMs = 50;
 
+// Writes `s` as a quoted JSON string. Tenant names are chosen by clients,
+// so quotes, backslashes and control bytes must be escaped before they
+// reach the STATS document.
+void WriteJsonString(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c == '"' || c == '\\') {
+      os << '\\' << ch;
+    } else if (c == '\n') {
+      os << "\\n";
+    } else if (c < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      os << buf;
+    } else {
+      os << ch;
+    }
+  }
+  os << '"';
+}
+
 }  // namespace
 
 // One client connection. The IO thread owns the receive buffer and the
@@ -757,8 +779,9 @@ std::string ServingDaemon::StatsJson() const {
          << ", \"score\": " << r.score << ", \"dominant\": \""
          << drift::DriftComponentName(r.dominant) << "\", \"top_tokens\": [";
       for (size_t i = 0; i < r.top_tokens.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "{\"name\": \"" << r.top_tokens[i].name
-           << "\", \"delta\": " << r.top_tokens[i].delta << "}";
+        os << (i == 0 ? "" : ", ") << "{\"name\": ";
+        WriteJsonString(os, r.top_tokens[i].name);
+        os << ", \"delta\": " << r.top_tokens[i].delta << "}";
       }
       os << "], \"top_clusters\": [";
       for (size_t i = 0; i < r.top_clusters.size(); ++i) {
@@ -789,7 +812,9 @@ std::string ServingDaemon::StatsJson() const {
   for (const auto& [name, counters] : stats.tenants) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "    \"" << name << "\": {"
+    os << "    ";
+    WriteJsonString(os, name);
+    os << ": {"
        << "\"admitted\": " << counters.admitted
        << ", \"completed\": " << counters.completed
        << ", \"plans\": " << counters.plans

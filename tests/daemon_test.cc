@@ -877,6 +877,40 @@ TEST_F(DaemonTest, PingEncodeStatsEndToEnd) {
   EXPECT_EQ(stats.tenants[0].second.plans, 5u);
 }
 
+TEST_F(DaemonTest, StatsEscapesHostileTenantName) {
+  const ServingDaemonConfig config = BaseConfig("escape");
+  ServingDaemon daemon(&encoder_, config);
+  ASSERT_TRUE(daemon.Start().ok());
+  auto client = DaemonClient::Connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  EncodeRequest request;
+  request.tenant = std::string("a\"b\\c") + "\n" + "\x01";
+  request.plans = SamplePlanTexts(1, 7);
+  ASSERT_TRUE(client->Encode(request).ok());
+  const auto json = client->StatsJson();
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  daemon.Stop();
+
+  EXPECT_NE(json->find("\"a\\\"b\\\\c\\n\\u0001\""), std::string::npos)
+      << *json;
+  // No raw control byte may appear inside any JSON string.
+  bool in_string = false;
+  for (size_t i = 0; i < json->size(); ++i) {
+    const auto c = static_cast<unsigned char>((*json)[i]);
+    if (in_string) {
+      ASSERT_GE(c, 0x20u) << "raw control byte at offset " << i;
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    }
+  }
+  EXPECT_FALSE(in_string) << "unterminated string in STATS";
+}
+
 TEST_F(DaemonTest, ZeroQuotaTenantGetsTypedShedOverTheWire) {
   ServingDaemonConfig config = BaseConfig("zeroquota");
   TenantConfig zero;

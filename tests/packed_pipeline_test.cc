@@ -2,14 +2,13 @@
 // embedding-gather kernel, the head-blocked attention kernel, the packed
 // int8 GEMM, the quantize_buffer contract (ties away from zero,
 // saturation), packed-vs-per-plan encoder parity at adversarial batch
-// shapes x SIMD levels x thread counts, the QPE_PACKED / QPE_HEAD_BLOCK /
-// QPE_INT8_PACKED A/B knobs, and the arena-steady-state contract (zero
-// heap acquisitions per micro-batch after warmup).
+// shapes x SIMD levels x thread counts, packed training against the
+// per-plan op chain, and the arena-steady-state contract (zero heap
+// acquisitions per micro-batch after warmup).
 
 #include <climits>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -59,31 +58,6 @@ class ThreadCountGuard {
 
  private:
   int saved_;
-};
-
-// Sets an environment variable for the scope, restoring the previous value
-// (or unsetting) on exit. The pipeline knobs re-read the environment on
-// every call, so this is enough for in-process A/B.
-class EnvVarGuard {
- public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
 };
 
 std::vector<float> RandomVec(size_t n, util::Rng* rng, float scale = 1.0f) {
@@ -292,6 +266,26 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
 
 // --- Packed int8 GEMM -------------------------------------------------------
 
+// Oracle for the tiled int8 GEMM: plain int32 dot products over the
+// channel-contiguous operands a [m, k] and w [n, k]. Integer arithmetic is
+// exact, so every level's packed kernel must match it bit for bit.
+void ReferenceInt8Gemm(const int8_t* a, const int8_t* w, float* c, int m,
+                       int k, int n, const float* a_scale,
+                       const float* b_scale, const float* bias) {
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      int32_t acc = 0;
+      for (int p = 0; p < k; ++p) {
+        acc += static_cast<int32_t>(a[static_cast<size_t>(i) * k + p]) *
+               static_cast<int32_t>(w[static_cast<size_t>(j) * k + p]);
+      }
+      float y = static_cast<float>(acc) * a_scale[i] * b_scale[j];
+      if (bias != nullptr) y += bias[j];
+      c[static_cast<size_t>(i) * n + j] = y;
+    }
+  }
+}
+
 TEST(PackedKernelTest, Int8GemmPackedMatchesUnpackedBitwise) {
   const Kernels* scalar = nn::simd::TableFor(Level::kScalar);
   const Kernels* vec = VectorTable();
@@ -325,7 +319,7 @@ TEST(PackedKernelTest, Int8GemmPackedMatchesUnpackedBitwise) {
     for (const float* b_ptr : {bias.data(), static_cast<const float*>(
                                                 nullptr)}) {
       std::vector<float> ref(static_cast<size_t>(m) * n, 0.0f);
-      scalar->int8_gemm(a.data(), w.data(), ref.data(), m, k, n,
+      ReferenceInt8Gemm(a.data(), w.data(), ref.data(), m, k, n,
                         a_scale.data(), b_scale.data(), b_ptr);
       for (const Kernels* table : {scalar, vec}) {
         if (table == nullptr) continue;
@@ -456,97 +450,25 @@ TEST(PackedEncoderTest, AdversarialShapesAcrossLevelsAndThreads) {
   }
 }
 
-// --- Env-knob A/B -----------------------------------------------------------
-
-TEST(PackedEncoderTest, PackedKnobMatchesLegacyOpChainBitwise) {
-  // QPE_PACKED=0 re-routes EncodeBatch through the tensor op-chain; at
-  // forced scalar the two pipelines must agree bit for bit.
-  SimdLevelGuard guard;
-  if (nn::simd::ForceLevel(Level::kScalar) != Level::kScalar) GTEST_SKIP();
-  util::Rng rng(96);
-  const encoder::TransformerPlanEncoder enc(SmallConfig(), &rng);
-  const auto plans = SamplePlans(7, 205);
-  const auto ptrs = Pointers(plans);
-  nn::NoGradGuard no_grad;
-  std::vector<nn::Tensor> legacy, packed;
-  {
-    EnvVarGuard off("QPE_PACKED", "0");
-    legacy = enc.EncodeBatch(ptrs, nullptr);
-  }
-  {
-    EnvVarGuard on("QPE_PACKED", "1");
-    packed = enc.EncodeBatch(ptrs, nullptr);
-  }
-  ASSERT_EQ(legacy.size(), packed.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    for (int c = 0; c < legacy[i].cols(); ++c) {
-      ASSERT_EQ(legacy[i].at(0, c), packed[i].at(0, c))
-          << "plan " << i << " dim " << c;
-    }
-  }
-}
-
-TEST(PackedEncoderTest, HeadBlockKnobNeverChangesBits) {
-  // The blocked attention kernel is bit-identical to the interleaved one
-  // at every level, so QPE_HEAD_BLOCK must not change any output bit even
-  // at the hardware level.
-  util::Rng rng(97);
-  const encoder::TransformerPlanEncoder enc(SmallConfig(), &rng);
-  const auto plans = SamplePlans(7, 206);
-  const auto ptrs = Pointers(plans);
-  nn::NoGradGuard no_grad;
-  std::vector<nn::Tensor> interleaved, blocked;
-  {
-    EnvVarGuard off("QPE_HEAD_BLOCK", "0");
-    interleaved = enc.EncodeBatch(ptrs, nullptr);
-  }
-  {
-    EnvVarGuard on("QPE_HEAD_BLOCK", "1");
-    blocked = enc.EncodeBatch(ptrs, nullptr);
-  }
-  ASSERT_EQ(interleaved.size(), blocked.size());
-  for (size_t i = 0; i < interleaved.size(); ++i) {
-    for (int c = 0; c < interleaved[i].cols(); ++c) {
-      ASSERT_EQ(interleaved[i].at(0, c), blocked[i].at(0, c))
-          << "plan " << i << " dim " << c;
-    }
-  }
-}
-
-TEST(PackedEncoderTest, Int8PackedKnobNeverChangesBits) {
-  // Both int8 layouts accumulate the same integer dots, so the quantized
-  // encoder's output must be bit-identical with the knob on and off.
-  util::Rng rng(98);
-  const encoder::TransformerPlanEncoder fp32(SmallConfig(), &rng);
-  const auto calib = SamplePlans(8, 207);
-  const auto qenc = fp32.Quantize(Pointers(calib));
-  const auto plans = SamplePlans(7, 208);
-  const auto ptrs = Pointers(plans);
-  std::vector<nn::Tensor> legacy, packed;
-  {
-    EnvVarGuard off("QPE_INT8_PACKED", "0");
-    legacy = qenc->EncodeBatch(ptrs, nullptr);
-  }
-  {
-    EnvVarGuard on("QPE_INT8_PACKED", "1");
-    packed = qenc->EncodeBatch(ptrs, nullptr);
-  }
-  ASSERT_EQ(legacy.size(), packed.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    for (int c = 0; c < legacy[i].cols(); ++c) {
-      ASSERT_EQ(legacy[i].at(0, c), packed[i].at(0, c))
-          << "plan " << i << " dim " << c;
-    }
-  }
-}
-
 // --- Packed training vs per-plan op chain -----------------------------------
 //
-// QPE_PACKED_TRAIN=0 re-routes EncodeBatchGrad through the per-plan Encode
-// loop (the gradient-bit reference). The packed training path must match it
-// bit for bit — forward values, dropout streams, and every accumulated
-// parameter gradient — at EVERY SIMD level (both paths dispatch the same
-// kernel table; there is no sanctioned divergence like the inference exp).
+// PerPlanEncoder routes EncodeBatchGrad through the base class's per-plan
+// Encode loop (the gradient-bit reference). The packed training path must
+// match it bit for bit — forward values, dropout streams, and every
+// accumulated parameter gradient — at EVERY SIMD level (the blocked
+// attention kernel matches the interleaved one bit for bit at every level,
+// and everything else dispatches the same kernel table; there is no
+// sanctioned divergence like the inference exp).
+
+class PerPlanEncoder : public encoder::TransformerPlanEncoder {
+ public:
+  using TransformerPlanEncoder::TransformerPlanEncoder;
+  std::vector<nn::Tensor> EncodeBatchGrad(
+      std::span<const plan::PlanNode* const> plans,
+      util::Rng* dropout_rng) const override {
+    return PlanSequenceEncoder::EncodeBatchGrad(plans, dropout_rng);
+  }
+};
 
 std::vector<std::vector<float>> ParamGrads(const nn::Module& m) {
   std::vector<std::vector<float>> grads;
@@ -558,20 +480,22 @@ std::vector<std::vector<float>> ParamGrads(const nn::Module& m) {
 
 TEST(PackedTrainTest, EncodeBatchGradMatchesPerPlanBitwise) {
   SimdLevelGuard level_guard;
-  util::Rng rng(101);
   for (const bool projection : {false, true}) {
     encoder::StructureEncoderConfig config = SmallConfig();
     config.dropout = 0.25f;  // exercises the mask-stream contract
     config.output_dim = projection ? 10 : 0;
-    encoder::TransformerPlanEncoder enc(config, &rng);
-    enc.SetTraining(true);
+    // Same seed, so both encoders start from identical weights.
+    util::Rng packed_init(101), per_plan_init(101);
+    encoder::TransformerPlanEncoder packed_enc(config, &packed_init);
+    PerPlanEncoder per_plan_enc(config, &per_plan_init);
+    packed_enc.SetTraining(true);
+    per_plan_enc.SetTraining(true);
     const auto plans = SamplePlans(5, 212);
     const auto ptrs = Pointers(plans);
 
     for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
       if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
-      auto run = [&](const char* knob) {
-        EnvVarGuard packed("QPE_PACKED_TRAIN", knob);
+      auto run = [&](encoder::TransformerPlanEncoder& enc) {
         enc.ZeroGrad();
         util::Rng dropout_rng(7);
         const std::vector<nn::Tensor> outs =
@@ -587,8 +511,8 @@ TEST(PackedTrainTest, EncodeBatchGradMatchesPerPlanBitwise) {
         for (const nn::Tensor& t : outs) values.push_back(t.value());
         return std::make_pair(values, ParamGrads(enc));
       };
-      const auto per_plan = run("0");
-      const auto packed = run("1");
+      const auto per_plan = run(per_plan_enc);
+      const auto packed = run(packed_enc);
       ASSERT_EQ(per_plan.first.size(), packed.first.size());
       for (size_t i = 0; i < per_plan.first.size(); ++i) {
         ASSERT_EQ(per_plan.first[i], packed.first[i])
@@ -608,7 +532,7 @@ TEST(PackedTrainTest, EncodeBatchGradMatchesPerPlanBitwise) {
 TEST(PackedTrainTest, TrainPpsrPackedKnobAndThreadsMatchBitwise) {
   // End-to-end: whole TrainPpsr runs (dropout, Adam, grad clipping, shard
   // reduction) must land on bit-identical weights with the packed training
-  // path on or off, at 1 or 4 threads.
+  // path or the per-plan reference, at 1 or 4 threads.
   data::PairDatasetOptions options;
   options.num_pairs = 27;
   options.corpus.min_nodes = 4;
@@ -621,12 +545,16 @@ TEST(PackedTrainTest, TrainPpsrPackedKnobAndThreadsMatchBitwise) {
   config.dropout = 0.1f;
   config.output_dim = 10;
 
-  auto train = [&](const char* knob, int threads) {
-    EnvVarGuard packed("QPE_PACKED_TRAIN", knob);
+  auto train = [&](bool packed, int threads) {
     util::SetMaxThreads(threads);
     util::Rng rng(42);
-    encoder::PpsrModel model(
-        std::make_unique<encoder::TransformerPlanEncoder>(config, &rng), &rng);
+    std::unique_ptr<encoder::TransformerPlanEncoder> enc;
+    if (packed) {
+      enc = std::make_unique<encoder::TransformerPlanEncoder>(config, &rng);
+    } else {
+      enc = std::make_unique<PerPlanEncoder>(config, &rng);
+    }
+    encoder::PpsrModel model(std::move(enc), &rng);
     encoder::PpsrTrainOptions train_options;
     train_options.epochs = 2;
     TrainPpsr(&model, dataset.train, train_options);
@@ -639,18 +567,19 @@ TEST(PackedTrainTest, TrainPpsrPackedKnobAndThreadsMatchBitwise) {
 
   for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
     if (nn::simd::ForceLevel(level) != level) continue;  // sanitize build
-    const auto reference = train("0", 1);
+    const auto reference = train(/*packed=*/false, 1);
     const struct {
-      const char* knob;
+      bool packed;
       int threads;
-    } cases[] = {{"1", 1}, {"1", 4}, {"0", 4}};
+    } cases[] = {{true, 1}, {true, 4}, {false, 4}};
     for (const auto& c : cases) {
-      const auto got = train(c.knob, c.threads);
+      const auto got = train(c.packed, c.threads);
       ASSERT_EQ(reference.size(), got.size());
       for (size_t i = 0; i < reference.size(); ++i) {
         ASSERT_EQ(reference[i], got[i])
             << "param " << i << " level " << nn::simd::LevelName(level)
-            << " packed " << c.knob << " threads " << c.threads;
+            << (c.packed ? " packed" : " per-plan") << " threads "
+            << c.threads;
       }
     }
   }

@@ -1,11 +1,14 @@
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "plan/linearize.h"
 #include "plan/plan_node.h"
 #include "plan/serialize.h"
 #include "plan/taxonomy.h"
+#include "util/rng.h"
 
 namespace qpe::plan {
 namespace {
@@ -78,6 +81,35 @@ TEST(TaxonomyTest, OutOfRangeIdNamesAsUnknown) {
   EXPECT_EQ(tax.Level1Name(tax.Level1Count() + 40), "UNKNOWN");
   EXPECT_EQ(tax.Level2Name(255), "UNKNOWN");
   EXPECT_EQ(tax.Level3Name(255), "UNKNOWN");
+}
+
+TEST(OperatorTypeTest, LessMatchesFullStringOrder) {
+  // operator< compares the three level names in place; it must order types
+  // exactly as comparing their full hyphenated strings does. The sample
+  // draws ids past every vocabulary (they name themselves UNKNOWN) and
+  // covers the names that prefix others (Group/GroupAggregate,
+  // Window/WindowAgg, Index/IndexOnly).
+  const Taxonomy& tax = Taxonomy::Get();
+  util::Rng rng(2024);
+  std::vector<OperatorType> types;
+  for (int i = 0; i < 2500; ++i) {
+    types.emplace_back(
+        static_cast<uint8_t>(rng.UniformInt(0, tax.Level1Count() + 4)),
+        static_cast<uint8_t>(rng.UniformInt(0, tax.Level2Count() + 4)),
+        static_cast<uint8_t>(rng.UniformInt(0, tax.Level3Count() + 4)));
+  }
+  std::vector<OperatorType> by_less = types;
+  std::vector<OperatorType> by_string = types;
+  std::stable_sort(by_less.begin(), by_less.end());
+  std::stable_sort(by_string.begin(), by_string.end(),
+                   [](const OperatorType& a, const OperatorType& b) {
+                     return a.ToString(true) < b.ToString(true);
+                   });
+  for (size_t i = 0; i < types.size(); ++i) {
+    ASSERT_EQ(by_less[i], by_string[i])
+        << i << ": " << by_less[i].ToString(true) << " vs "
+        << by_string[i].ToString(true);
+  }
 }
 
 TEST(OperatorTypeTest, ParseHyphenated) {

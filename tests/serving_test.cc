@@ -156,39 +156,6 @@ TEST(EncodeBatchTest, BaseClassLoopMatchesEncode) {
   }
 }
 
-TEST(EncodeBatchTest, GeluTransformerBatchedMatchesSingleBitExact) {
-  // The GELU feed-forward variant routes the batched path through the
-  // fused BiasGelu kernel; it must match the single-sequence Gelu chain.
-  util::Rng rng(46);
-  const nn::TransformerEncoder transformer(
-      /*dim=*/24, /*num_heads=*/2, /*ff_dim=*/48, /*num_layers=*/1,
-      /*max_len=*/64, /*dropout=*/0.0f, &rng, nn::FfActivation::kGelu);
-  util::Rng data_rng(47);
-  const auto random_seq = [&](int t) {
-    nn::Tensor x = nn::Tensor::Zeros(t, 24);
-    for (float& v : x.value()) {
-      v = static_cast<float>(data_rng.Uniform(-1.0, 1.0));
-    }
-    return x;
-  };
-  const nn::Tensor x1 = random_seq(5);
-  const nn::Tensor x2 = random_seq(9);
-  nn::NoGradGuard no_grad;
-  const nn::BatchLayout layout = nn::BatchLayout::FromLengths({5, 9});
-  const nn::Tensor batched =
-      transformer.ForwardBatch(nn::ConcatRows({x1, x2}), layout);
-  const nn::Tensor single1 = transformer.Forward(x1, nullptr);
-  const nn::Tensor single2 = transformer.Forward(x2, nullptr);
-  for (int r = 0; r < 5; ++r) {
-    for (int c = 0; c < 24; ++c) EXPECT_EQ(batched.at(r, c), single1.at(r, c));
-  }
-  for (int r = 0; r < 9; ++r) {
-    for (int c = 0; c < 24; ++c) {
-      EXPECT_EQ(batched.at(5 + r, c), single2.at(r, c));
-    }
-  }
-}
-
 // --- Plan fingerprints ------------------------------------------------------
 
 TEST(FingerprintTest, StableAndCloneInvariant) {
