@@ -41,7 +41,9 @@
 # SIMD level ("scalar"/"avx2"/"neon") differs from the level the fresh
 # binaries dispatch on this machine — comparing a scalar-recorded baseline
 # against a vectorized run (or vice versa) measures the ISA, not the code
-# change. Re-record with scripts/run_bench_baseline.sh.
+# change — and a baseline whose stamped core count (num_cpus) differs from
+# the fresh run's, or is missing: a baseline from another host measures
+# the host. Re-record with scripts/run_bench_baseline.sh on this host.
 #
 # The committed baseline is a portable-build number; the comparison build
 # is portable too, so a QPE_NATIVE-tuned tree never masks (or fakes) a
@@ -173,6 +175,25 @@ for name in base_simd:
               f"'{base_simd[name] or 'unknown'}' but this machine dispatches "
               f"'{fresh_simd[name] or 'unknown'}' — re-record with "
               "scripts/run_bench_baseline.sh on matching hardware")
+        failed = True
+
+# Likewise a baseline from a host with another core count (or without the
+# stamp): thread pools, scheduling and the host's clock differ with it.
+base_cpus = {
+    sys.argv[1]: serving_base.get("num_cpus"),
+    sys.argv[3]: micro_base.get("context", {}).get("num_cpus"),
+}
+fresh_cpus = {
+    sys.argv[1]: serving_fresh.get("num_cpus"),
+    sys.argv[3]: micro_fresh.get("context", {}).get("num_cpus"),
+}
+for name in base_cpus:
+    if base_cpus[name] is None or base_cpus[name] != fresh_cpus[name]:
+        recorded = "no num_cpus stamp" if base_cpus[name] is None else \
+            f"num_cpus {base_cpus[name]}"
+        print(f"FAIL: baseline {name} has {recorded} but this host runs "
+              f"num_cpus {fresh_cpus[name]} — re-record on this host with "
+              "scripts/run_bench_baseline.sh")
         failed = True
 if failed:
     sys.exit(1)

@@ -36,7 +36,7 @@ std::vector<double> BagOfTokens(const plan::PlanNode& root);
 // (DFS-bracket, truncated to max_len), clamps the three sub-type ids, and
 // appends them straight into the workspace's id columns, then builds the
 // ragged layout in place. Equivalent to LinearizeDfsBracket + TokensToIds
-// + BatchLayout::FromLengths per plan, but reuses the workspace's capacity
+// + BatchLayout::FromLengthsChecked per plan, but reuses the workspace's capacity
 // so steady-state packing performs no heap allocation.
 void PackPlansColumns(std::span<const plan::PlanNode* const> plans,
                       int max_len, nn::PackedBatch* ws);

@@ -145,8 +145,8 @@ class PackedBatch {
   void BeginBatch();
 
   // Rebuilds `layout` from `lengths` in place, reusing the offsets /
-  // lengths / positions capacity. Same validation (and abort) semantics as
-  // BatchLayout::FromLengths.
+  // lengths / positions capacity. Same validation as
+  // BatchLayout::FromLengthsChecked, but aborts with its message.
   void BuildLayout();
 
   // Marks the end of packing: if any id/layout column had to reallocate

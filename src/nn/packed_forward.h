@@ -30,8 +30,8 @@ void RepackHeadsVB(const float* v, int rows, int dim, int num_heads,
 // wk, wv, wo, ff1, ff2, then the projection at num_layers * 6. `relu` is
 // true exactly for the ff1 site — the callback owns the activation so a
 // fused implementation (simd linear_bias_act) can apply it in the GEMM
-// epilogue; implementations must reproduce BiasRelu's `> 0` clamp bit for
-// bit. Returns a pointer into ws (ws.cls or ws.proj) holding the
+// epilogue; implementations must reproduce the bias_relu kernel's `> 0`
+// clamp bit for bit. Returns a pointer into ws (ws.cls or ws.proj) holding the
 // [num_seqs, output_dim] result — valid until the workspace's next use.
 //
 // `retain` is null at inference, where one set of workspace buffers is
@@ -43,8 +43,8 @@ void RepackHeadsVB(const float* v, int rows, int dim, int num_heads,
 //
 // Numerics: every kernel call and elementwise loop below reproduces the
 // tensor op chain's arithmetic per output element (the ReLU clamp uses
-// BiasRelu's `> 0` select so -0.0 maps to +0.0 exactly like the fused
-// kernel), so with an exact fp32 `linear` this forward is bit-identical to
+// the bias_relu kernel's `> 0` select so -0.0 maps to +0.0 exactly like the
+// fused kernel), so with an exact fp32 `linear` this forward is bit-identical to
 // per-plan Encode at the scalar level and epsilon-equal at vector levels
 // (the one sanctioned divergence is the vector exp of the attention
 // softmax). The head-blocked attention kernel used here matches the

@@ -194,7 +194,7 @@ void BiasReluT(const float* __restrict av, const float* __restrict bv,
 // Fused linear layer for the packed pipeline: out = act(A * B + bias) with
 // A [m, k], B [k, n], bias [n], act = ReLU when `relu` is nonzero, identity
 // otherwise. Per output element this is the op chain's exact sequence —
-// zero, ascending-k mul/add pairs, one bias add, then BiasRelu's `> 0`
+// zero, ascending-k mul/add pairs, one bias add, then bias_relu's `> 0`
 // clamp — but the zero lives in a register instead of a pre-filled buffer
 // and the bias/ReLU ride the GEMM epilogue, so the fused kernel never
 // makes the zero-fill and bias passes over the output. Dropping the

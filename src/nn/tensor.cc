@@ -1075,29 +1075,6 @@ Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w,
   return out;
 }
 
-Tensor BiasRelu(const Tensor& a, const Tensor& bias) {
-  const int m = a.rows(), n = a.cols();
-  assert(bias.rows() == 1 && bias.cols() == n);
-  Tensor out = Tensor::MakeResult(m, n, {a.impl_, bias.impl_},
-                                  Tensor::Fill::kOverwrite);
-  simd::K().bias_relu(a.impl_->value.data(), bias.impl_->value.data(),
-                      out.impl_->value.data(), m, n);
-  if (out.requires_grad()) {
-    Tensor::Impl* const ai = a.impl_.get();
-    Tensor::Impl* const bi = bias.impl_.get();
-    Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
-    out.impl_->backward_fn = [ai, bi, oi, m, n]() {
-      // out > 0 iff the pre-activation a + bias was > 0; the gated
-      // accumulation lives in the dispatch table (BiasActBackwardT).
-      float* ag = ai->requires_grad ? GradPtr(ai) : nullptr;
-      float* bg = bi->requires_grad ? GradPtr(bi) : nullptr;
-      simd::K().bias_act_backward(oi->value.data(), oi->grad.data(), ag, bg,
-                                  m, n);
-    };
-  }
-  return out;
-}
-
 // Row statistics live in simd_kernels_inl.h (simd::LayerNormRowStats): the
 // forward and backward kernels of every SIMD level share one definition so
 // their mean/recip bits can never diverge.

@@ -142,7 +142,6 @@ class Tensor {
                               const Tensor& bias);
   friend Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w,
                                   const Tensor& bias);
-  friend Tensor BiasRelu(const Tensor& a, const Tensor& bias);
   friend Tensor LayerNormRows(const Tensor& x, const Tensor& gamma,
                               const Tensor& beta);
   friend Tensor SoftmaxRowsMasked(const Tensor& a,
@@ -259,10 +258,6 @@ Tensor LinearRowBias(const Tensor& x, const Tensor& w, const Tensor& bias);
 // chain bit for bit too. Saves a graph node, an [m, n] buffer and two full
 // memory passes per hidden MLP layer; the MLP training hot path.
 Tensor LinearRowBiasRelu(const Tensor& x, const Tensor& w, const Tensor& bias);
-
-// max(a + bias, 0) with a [1, n] bias row: fuses Linear's bias add with the
-// ReLU that follows it (one pass instead of two ops).
-Tensor BiasRelu(const Tensor& a, const Tensor& bias);
 
 // Row-wise layer normalization: y = (x - mean) / sqrt(var + 1e-5) * gamma
 // + beta, one kernel instead of the 8-op autograd chain LayerNorm::Forward

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <climits>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace qpe::nn {
@@ -20,13 +18,13 @@ util::StatusOr<BatchLayout> BatchLayout::FromLengthsChecked(
     const int len = lengths[s];
     if (len <= 0) {
       return util::InvalidArgumentError(
-          "BatchLayout::FromLengths: sequence " + std::to_string(s) +
+          "BatchLayout::FromLengthsChecked: sequence " + std::to_string(s) +
           " has non-positive length " + std::to_string(len));
     }
     total += len;
     if (total > INT_MAX) {
       return util::InvalidArgumentError(
-          "BatchLayout::FromLengths: total_rows overflows int at sequence " +
+          "BatchLayout::FromLengthsChecked: total_rows overflows int at sequence " +
           std::to_string(s) + " (running total " + std::to_string(total) +
           ")");
     }
@@ -43,15 +41,6 @@ util::StatusOr<BatchLayout> BatchLayout::FromLengthsChecked(
     for (int t = 0; t < len; ++t) layout.positions.push_back(t);
   }
   return layout;
-}
-
-BatchLayout BatchLayout::FromLengths(const std::vector<int>& lengths) {
-  util::StatusOr<BatchLayout> layout = FromLengthsChecked(lengths);
-  if (!layout.ok()) {
-    std::fprintf(stderr, "%s\n", layout.status().message().c_str());
-    std::abort();
-  }
-  return std::move(layout.value());
 }
 
 // --- MultiHeadSelfAttention ---

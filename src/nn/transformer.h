@@ -31,11 +31,7 @@ struct BatchLayout {
   std::vector<int> positions;  // within-sequence index of each packed row
   int total_rows = 0;          // sum of lengths
 
-  // Builds the layout, aborting with a message on invalid input (the
-  // in-process callers all construct lengths from plans they just
-  // linearized, so a bad length here is a programming error).
-  static BatchLayout FromLengths(const std::vector<int>& lengths);
-  // Validating variant for lengths that cross a trust boundary (network
+  // Builds the layout from lengths that may cross a trust boundary (network
   // daemon, file replay): rejects non-positive lengths and total_rows
   // overflow with a descriptive error instead of building a bogus layout.
   // Validation happens before any allocation proportional to total_rows.

@@ -801,6 +801,7 @@ std::string ServingDaemon::StatsJson() const {
      << ",\n"
      << "    \"p50_ms\": " << stats.service.p50_ms << ",\n"
      << "    \"p99_ms\": " << stats.service.p99_ms << ",\n"
+     << "    \"latency_samples\": " << stats.service.latency_samples << ",\n"
      << "    \"cache_hits\": " << stats.service.cache.hits << ",\n"
      << "    \"cache_misses\": " << stats.service.cache.misses << ",\n"
      << "    \"cache_evictions\": " << stats.service.cache.evictions << ",\n"

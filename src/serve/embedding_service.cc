@@ -101,7 +101,7 @@ std::vector<nn::Tensor> EmbeddingService::EncodeAll(
     plans_ += static_cast<uint64_t>(n);
     encoded_plans_ += static_cast<uint64_t>(misses);
     total_seconds_ += seconds;
-    request_latencies_ms_.push_back(seconds * 1e3);
+    request_latencies_ms_.Add(seconds * 1e3);
   }
   return results;
 }
@@ -118,6 +118,7 @@ void EmbeddingService::SwapEncoder(const encoder::PlanSequenceEncoder* encoder) 
 
 ServiceStats EmbeddingService::GetStats() const {
   ServiceStats stats;
+  std::vector<double> latencies;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats.requests = requests_;
@@ -127,10 +128,13 @@ ServiceStats EmbeddingService::GetStats() const {
     if (total_seconds_ > 0) {
       stats.plans_per_second = static_cast<double>(plans_) / total_seconds_;
     }
-    if (!request_latencies_ms_.empty()) {
-      stats.p50_ms = util::Percentile(request_latencies_ms_, 50.0);
-      stats.p99_ms = util::Percentile(request_latencies_ms_, 99.0);
-    }
+    latencies = request_latencies_ms_.values();
+  }
+  // Sorting happens outside stats_mu_, which every EncodeAll takes.
+  stats.latency_samples = latencies.size();
+  if (!latencies.empty()) {
+    stats.p50_ms = util::Percentile(latencies, 50.0);
+    stats.p99_ms = util::Percentile(std::move(latencies), 99.0);
   }
   if (cache_enabled_) stats.cache = cache_.GetStats();
   stats.memory = nn::GlobalMemoryStats();
@@ -146,7 +150,21 @@ void EmbeddingService::ResetStats() {
   plans_ = 0;
   encoded_plans_ = 0;
   total_seconds_ = 0;
-  request_latencies_ms_.clear();
+  request_latencies_ms_.Clear();
+}
+
+void LatencyWindow::Add(double ms) {
+  if (values_.size() < kCapacity) {
+    values_.push_back(ms);
+    return;
+  }
+  values_[next_] = ms;
+  next_ = (next_ + 1) % kCapacity;
+}
+
+void LatencyWindow::Clear() {
+  values_.clear();
+  next_ = 0;
 }
 
 }  // namespace qpe::serve

@@ -25,8 +25,11 @@ struct EmbeddingServiceConfig {
   bool enable_cache = true;
 };
 
-// Serving statistics. Latency percentiles are over EncodeAll requests;
-// throughput is total plans over total request wall time.
+// Serving statistics. Counters and throughput (total plans over total
+// request wall time) cover every EncodeAll request since the last reset;
+// the latency percentiles cover only the newest `latency_samples` requests
+// (at most LatencyWindow::kCapacity), so a long-running daemon's p50/p99
+// describe its recent traffic and cost constant memory to keep.
 struct ServiceStats {
   uint64_t requests = 0;
   uint64_t plans = 0;
@@ -35,6 +38,7 @@ struct ServiceStats {
   double plans_per_second = 0;
   double p50_ms = 0;
   double p99_ms = 0;
+  uint64_t latency_samples = 0;
   EmbeddingCache::Stats cache;
   // Process-wide allocation telemetry (all TensorArenas, not just this
   // service's worker threads) plus peak RSS, snapshotted by GetStats().
@@ -46,6 +50,23 @@ struct ServiceStats {
   uint64_t packed_growth_events = 0;
   // Active SIMD kernel level ("scalar", "avx2", "neon"), from nn/simd.h.
   const char* simd_level = "scalar";
+};
+
+// The newest kCapacity request latencies in a fixed ring: once full, each
+// Add overwrites the oldest value, so memory stays constant however long
+// the service runs. Not synchronized; EmbeddingService guards it.
+class LatencyWindow {
+ public:
+  static constexpr size_t kCapacity = 65536;
+
+  void Add(double ms);
+  void Clear();
+  // The window's values in ring order (percentiles ignore order).
+  const std::vector<double>& values() const { return values_; }
+
+ private:
+  std::vector<double> values_;
+  size_t next_ = 0;  // slot Add overwrites once the ring is full
 };
 
 // High-throughput embedding-serving facade over a PlanSequenceEncoder: the
@@ -112,7 +133,7 @@ class EmbeddingService {
   uint64_t plans_ = 0;
   uint64_t encoded_plans_ = 0;
   double total_seconds_ = 0;
-  std::vector<double> request_latencies_ms_;
+  LatencyWindow request_latencies_ms_;
 };
 
 }  // namespace qpe::serve

@@ -43,7 +43,8 @@ struct SmatchOptions {
 struct FlatPlan {
   // Per node: the three sub-type ids.
   std::vector<plan::OperatorType> types;
-  // Tree edges as (parent index, child index).
+  // Tree edges as (parent index, child index). The scorers ignore an edge
+  // whose endpoints are not node indices (it still counts in NumTriples).
   std::vector<std::pair<int, int>> edges;
 
   int NumTriples() const {

@@ -96,13 +96,19 @@ int Rng::Categorical(const std::vector<double>& weights) {
 }
 
 std::vector<int> Rng::Permutation(int n) {
-  std::vector<int> p(n);
+  std::vector<int> p;
+  Permutation(n, &p);
+  return p;
+}
+
+void Rng::Permutation(int n, std::vector<int>* out) {
+  std::vector<int>& p = *out;
+  p.resize(n);
   for (int i = 0; i < n; ++i) p[i] = i;
   for (int i = n - 1; i > 0; --i) {
     const int j = static_cast<int>(UniformInt(0, i));
     std::swap(p[i], p[j]);
   }
-  return p;
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

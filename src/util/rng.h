@@ -54,6 +54,8 @@ class Rng {
 
   // Fisher-Yates shuffle of indices [0, n).
   std::vector<int> Permutation(int n);
+  // The same draws into *out, reusing its capacity.
+  void Permutation(int n, std::vector<int>* out);
 
   // Forks an independent stream seeded from this one (stable given call
   // order). Useful for giving each subsystem its own stream.

@@ -304,45 +304,6 @@ TEST(TensorTest, DeepGraphBackwardDoesNotOverflowStack) {
 // The fused kernels promise bit-identical forwards to the op chains they
 // replace; these tests enforce exact (==) float equality, not tolerance.
 
-// Values bounded away from the ReLU kink so central differences and the
-// subgradient agree.
-Tensor KinkFreeTensor(int rows, int cols, util::Rng* rng) {
-  Tensor t = Tensor::Zeros(rows, cols, /*requires_grad=*/true);
-  for (float& v : t.value()) {
-    const float x = static_cast<float>(rng->Uniform(0.1, 1.0));
-    v = rng->Bernoulli(0.5) ? x : -x;
-  }
-  return t;
-}
-
-TEST(FusedKernelTest, BiasReluMatchesUnfusedBitExact) {
-  util::Rng rng(71);
-  const Tensor a = RandTensor(5, 7, &rng);
-  const Tensor bias = RandTensor(1, 7, &rng);
-  const Tensor fused = BiasRelu(a, bias);
-  const Tensor unfused = Relu(Add(a, bias));
-  ASSERT_EQ(fused.numel(), unfused.numel());
-  for (int i = 0; i < fused.numel(); ++i) {
-    EXPECT_EQ(fused.value()[i], unfused.value()[i]) << "element " << i;
-  }
-  // Gradients accumulate in the same row-major order as the Add/Relu
-  // chain, so they are exact too.
-  Sum(fused).Backward();
-  const std::vector<float> fused_a = a.grad(), fused_b = bias.grad();
-  a.ZeroGrad();
-  bias.ZeroGrad();
-  Sum(unfused).Backward();
-  for (int i = 0; i < a.numel(); ++i) EXPECT_EQ(fused_a[i], a.grad()[i]);
-  for (int i = 0; i < bias.numel(); ++i) EXPECT_EQ(fused_b[i], bias.grad()[i]);
-}
-
-TEST(FusedKernelTest, BiasReluGradient) {
-  util::Rng rng(73);
-  const Tensor a = KinkFreeTensor(3, 5, &rng);
-  Tensor bias = Tensor::Zeros(1, 5, /*requires_grad=*/true);  // keeps a+b off 0
-  CheckGradients({a, bias}, [&]() { return Sum(BiasRelu(a, bias)); });
-}
-
 TEST(FusedKernelTest, LayerNormRowsMatchesCompositeChainBitExact) {
   util::Rng rng(75);
   const Tensor x = RandTensor(6, 9, &rng);

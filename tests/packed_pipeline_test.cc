@@ -229,7 +229,7 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
   const int num_heads = 3, head_dim = 5;
   const int d = num_heads * head_dim;
   const std::vector<int> lengths = {1, 7, 3, 1, 12};
-  const BatchLayout layout = BatchLayout::FromLengths(lengths);
+  const BatchLayout layout = BatchLayout::FromLengthsChecked(lengths).value();
   const int rows = layout.total_rows;
   int max_len = 0;
   for (const int len : lengths) max_len = std::max(max_len, len);

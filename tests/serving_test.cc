@@ -25,6 +25,7 @@
 #include "simdb/planner.h"
 #include "simdb/workloads.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace qpe {
@@ -384,6 +385,45 @@ TEST(EmbeddingServiceTest, CacheDisabledStillServes) {
   EXPECT_EQ(stats.encoded_plans, 6u);  // every plan re-encoded
   EXPECT_EQ(stats.cache.hits + stats.cache.misses, 0u);
   EXPECT_EQ(service.cache(), nullptr);
+}
+
+TEST(LatencyWindowTest, KeepsTheNewestCapacityValues) {
+  constexpr size_t kCapacity = serve::LatencyWindow::kCapacity;
+  constexpr size_t kExtra = 1000;
+  serve::LatencyWindow window;
+  std::vector<double> all;
+  util::Rng rng(58);
+  for (size_t i = 0; i < kCapacity + kExtra; ++i) {
+    // Older values are large, so a window that kept them would read high.
+    const double ms = rng.Uniform(0.0, 1.0) + (i < kExtra ? 100.0 : 0.0);
+    window.Add(ms);
+    all.push_back(ms);
+    ASSERT_LE(window.values().size(), kCapacity);
+  }
+  ASSERT_EQ(window.values().size(), kCapacity);
+  const std::vector<double> newest(all.end() - kCapacity, all.end());
+  for (const double p : {50.0, 99.0, 100.0}) {
+    EXPECT_EQ(util::Percentile(window.values(), p), util::Percentile(newest, p))
+        << "p" << p;
+  }
+  window.Clear();
+  EXPECT_TRUE(window.values().empty());
+}
+
+TEST(EmbeddingServiceTest, LatencyStatsStayCappedAtTheWindow) {
+  util::Rng rng(59);
+  const encoder::TransformerPlanEncoder encoder(SmallConfig(), &rng);
+  serve::EmbeddingService service(&encoder);
+  const auto plans = SamplePlans(1, 40);
+  const size_t requests = serve::LatencyWindow::kCapacity + 64;
+  for (size_t r = 0; r < requests; ++r) service.EncodeOne(*plans[0]);
+  const auto stats = service.GetStats();
+  EXPECT_EQ(stats.requests, requests);
+  EXPECT_EQ(stats.latency_samples, serve::LatencyWindow::kCapacity);
+  EXPECT_GT(stats.p50_ms, 0.0);
+  EXPECT_GE(stats.p99_ms, stats.p50_ms);
+  service.ResetStats();
+  EXPECT_EQ(service.GetStats().latency_samples, 0u);
 }
 
 TEST(EmbeddingServiceTest, ConcurrentCallersSeeConsistentEmbeddings) {

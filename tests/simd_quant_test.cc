@@ -655,7 +655,7 @@ TEST(SimdParityTest, AdamStepBitExact) {
 // --- BatchLayout SoA --------------------------------------------------------
 
 TEST(BatchLayoutTest, PositionsColumnMatchesLengths) {
-  const nn::BatchLayout layout = nn::BatchLayout::FromLengths({3, 1, 4});
+  const nn::BatchLayout layout = nn::BatchLayout::FromLengthsChecked({3, 1, 4}).value();
   EXPECT_EQ(layout.total_rows, 8);
   const std::vector<int> expected = {0, 1, 2, 0, 0, 1, 2, 3};
   EXPECT_EQ(layout.positions, expected);

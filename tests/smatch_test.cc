@@ -154,6 +154,22 @@ TEST(SmatchTest, EmptyRightPlanGivesZero) {
   EXPECT_DOUBLE_EQ(score.f1, 0.0);
 }
 
+TEST(SmatchTest, IgnoresEdgesOutsideThePlan) {
+  const FlatPlan clean = Flatten(*SmallPlanA());
+  const FlatPlan other = Flatten(*SmallPlanB());
+  FlatPlan broken = clean;
+  broken.edges.insert(broken.edges.end(), {{0, 99}, {-1, 2}, {1000003, 0}});
+  EXPECT_EQ(Score(broken, other).matched_triples,
+            Score(clean, other).matched_triples);
+  EXPECT_EQ(Score(other, broken).matched_triples,
+            Score(other, clean).matched_triples);
+  EXPECT_EQ(ScoreExact(broken, other).matched_triples,
+            ScoreExact(clean, other).matched_triples);
+  EXPECT_EQ(ScoreExact(other, broken).matched_triples,
+            ScoreExact(other, clean).matched_triples);
+  EXPECT_EQ(Score(broken, other).triples_left, clean.NumTriples() + 3);
+}
+
 // Property sweep: restarts should never decrease the score.
 class SmatchRestartTest : public ::testing::TestWithParam<int> {};
 
