@@ -419,7 +419,7 @@ void AttentionPackedKernel(benchmark::State& state,
   for (auto _ : state) {
     kern.attention_forward_packed(q.data(), k.data(), v.data(), out.data(),
                                   offsets.data(), lengths.data(), num_seqs,
-                                  num_heads, dim, scale);
+                                  num_heads, dim, scale, nullptr);
     benchmark::DoNotOptimize(out.data());
   }
   // Scores + context: 2 * T^2 * dim MACs per sequence.
@@ -459,7 +459,7 @@ void AttentionBlockedKernel(benchmark::State& state,
     kern.attention_forward_blocked(q.data(), kbt.data(), vb.data(),
                                    out.data(), offsets.data(), lengths.data(),
                                    num_seqs, num_heads, total, dim, scale,
-                                   probs.data());
+                                   probs.data(), /*keep_probs=*/0);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * num_seqs * 2LL * len * len *
@@ -474,6 +474,116 @@ void BM_AttentionBlockedSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionBlockedScalar)->Arg(32);
 BENCHMARK(BM_AttentionBlockedSimd)->Arg(32);
+
+// --- Training backward kernels at the PPSR training shapes -----------------
+//
+// One pair of plans per shard packs to about 56 rows; the model has d = 48,
+// f = 96 and 4 heads of width 12. The gradient buffers accumulate across
+// iterations exactly as they accumulate across a step's sites.
+
+// Input-gradient GEMM dA += dOut * B^T. Args: {m, k, n}.
+void MatMulBackwardAKernel(benchmark::State& state,
+                           const qpe::nn::simd::Kernels& kern) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  const std::vector<float> og = RandomBuffer(static_cast<size_t>(m) * n, 61);
+  const std::vector<float> b = RandomBuffer(static_cast<size_t>(k) * n, 62);
+  std::vector<float> ag(static_cast<size_t>(m) * k, 0.0f);
+  for (auto _ : state) {
+    kern.matmul_backward_a(og.data(), b.data(), ag.data(), 0, m, k, n);
+    benchmark::DoNotOptimize(ag.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
+  state.SetLabel(kern.name);
+}
+void BM_MatMulBackwardAScalar(benchmark::State& state) {
+  MatMulBackwardAKernel(state, ScalarKernels());
+}
+void BM_MatMulBackwardASimd(benchmark::State& state) {
+  MatMulBackwardAKernel(state, BestKernels());
+}
+BENCHMARK(BM_MatMulBackwardAScalar)
+    ->Args({56, 48, 48})->Args({56, 96, 48})->Args({56, 48, 96});
+BENCHMARK(BM_MatMulBackwardASimd)
+    ->Args({56, 48, 48})->Args({56, 96, 48})->Args({56, 48, 96});
+
+// Weight-gradient GEMM dB += A^T * dOut. Args: {m, k, n, relu_sparse}; with
+// relu_sparse the negative half of A is zeroed like the ff1 ReLU output
+// that feeds the ff2 weight gradient.
+void MatMulBackwardBKernel(benchmark::State& state,
+                           const qpe::nn::simd::Kernels& kern) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  std::vector<float> a = RandomBuffer(static_cast<size_t>(m) * k, 63);
+  if (state.range(3) != 0) {
+    for (float& x : a) x = std::max(x, 0.0f);
+  }
+  const std::vector<float> og = RandomBuffer(static_cast<size_t>(m) * n, 64);
+  std::vector<float> bg(static_cast<size_t>(k) * n, 0.0f);
+  for (auto _ : state) {
+    kern.matmul_backward_b(a.data(), og.data(), bg.data(), 0, k, m, k, n);
+    benchmark::DoNotOptimize(bg.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
+  state.SetLabel(kern.name);
+}
+void BM_MatMulBackwardBScalar(benchmark::State& state) {
+  MatMulBackwardBKernel(state, ScalarKernels());
+}
+void BM_MatMulBackwardBSimd(benchmark::State& state) {
+  MatMulBackwardBKernel(state, BestKernels());
+}
+BENCHMARK(BM_MatMulBackwardBScalar)
+    ->Args({56, 48, 48, 0})->Args({56, 48, 96, 0})->Args({56, 96, 48, 0})
+    ->Args({56, 96, 48, 1});
+BENCHMARK(BM_MatMulBackwardBSimd)
+    ->Args({56, 48, 48, 0})->Args({56, 48, 96, 0})->Args({56, 96, 48, 0})
+    ->Args({56, 96, 48, 1});
+
+// Packed attention backward for one training shard: two sequences of the
+// given length (56 rows at 28), d 48, 4 heads, reading the probabilities
+// the forward kept (computed once, outside the timed loop). Arg: length.
+void AttentionBackwardKernel(benchmark::State& state,
+                             const qpe::nn::simd::Kernels& kern) {
+  const int len = static_cast<int>(state.range(0));
+  const int num_seqs = 2, num_heads = 4, dim = 48;
+  const std::vector<int> offsets = {0, len}, lengths = {len, len};
+  const int total = num_seqs * len;
+  const size_t size = static_cast<size_t>(total) * dim;
+  const std::vector<float> q = RandomBuffer(size, 65);
+  const std::vector<float> k = RandomBuffer(size, 66);
+  const std::vector<float> v = RandomBuffer(size, 67);
+  const std::vector<float> og = RandomBuffer(size, 68);
+  std::vector<float> out(size);
+  std::vector<float> probs(static_cast<size_t>(num_seqs) * num_heads * len *
+                           len);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dim / num_heads));
+  kern.attention_forward_packed(q.data(), k.data(), v.data(), out.data(),
+                                offsets.data(), lengths.data(), num_seqs,
+                                num_heads, dim, scale, probs.data());
+  std::vector<float> qg(size, 0.0f), kg(size, 0.0f), vg(size, 0.0f);
+  for (auto _ : state) {
+    kern.attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
+                                   probs.data(), qg.data(), kg.data(),
+                                   vg.data(), offsets.data(), lengths.data(),
+                                   num_seqs, num_heads, dim, scale);
+    benchmark::DoNotOptimize(qg.data());
+  }
+  // d_probs, d_v, d_q, d_k: 4 * T^2 * dim MACs per sequence.
+  state.SetItemsProcessed(state.iterations() * num_seqs * 4LL * len * len *
+                          dim * 2);
+  state.SetLabel(kern.name);
+}
+void BM_AttentionBackwardScalar(benchmark::State& state) {
+  AttentionBackwardKernel(state, ScalarKernels());
+}
+void BM_AttentionBackwardSimd(benchmark::State& state) {
+  AttentionBackwardKernel(state, BestKernels());
+}
+BENCHMARK(BM_AttentionBackwardScalar)->Arg(28);
+BENCHMARK(BM_AttentionBackwardSimd)->Arg(28);
 
 // Fused embedding gather + positional add at the model dims (24+12+12),
 // the packed pipeline's batch-assembly kernel. Arg: packed rows.

@@ -68,13 +68,16 @@ struct PackedLayerActs {
   std::vector<float> hm;       // [rows, d] post-attention residual
   std::vector<float> n2;       // [rows, d] norm2 output
   std::vector<float> ffa;      // [rows, f] ff1 ReLU output
+  // Attention softmax probabilities, one [len, len] block per (sequence,
+  // head): [seq][head][len][len], num_heads * sum(len^2) floats.
+  std::vector<float> probs;
   std::vector<float> mask_att, mask_ff;  // [rows, d] dropout multipliers
 };
 
 // Retain target of the packed forward (nn/packed_forward.h): where a
-// training forward writes every activation and dropout mask
-// PackedTrainBackward reads, plus the backward's own scratch. Buffers grow
-// to the high-water shape and persist.
+// training forward writes every activation, attention probability and
+// dropout mask PackedTrainBackward reads, plus the backward's own scratch.
+// Buffers grow to the high-water shape and persist.
 struct PackedRetain {
   std::vector<PackedLayerActs> layers;
   bool used_dropout = false;
@@ -128,6 +131,8 @@ class PackedBatch {
   std::vector<float> cls;      // [num_seqs, d] pooled CLS rows
   std::vector<float> proj;     // [num_seqs, output_dim]
   std::vector<float> probs;    // max_len^2 attention-score scratch
+                               // (inference; training keeps them per layer
+                               // in PackedLayerActs::probs)
 
   // --- quantized-linear scratch (QuantizedLinear::Forward) ---
   std::vector<int8_t> qx;

@@ -36,10 +36,11 @@ void RepackHeadsVB(const float* v, int rows, int dim, int num_heads,
 //
 // `retain` is null at inference, where one set of workspace buffers is
 // overwritten layer after layer. A training forward passes a retain
-// target: each layer then writes its activations there for
-// PackedTrainBackward, and a non-null `dropout_rng` with mv.dropout > 0
-// draws dropout masks (PackedRetain::Begin) applied to the attention and
-// feed-forward branches before their residual adds.
+// target: each layer then writes its activations, attention
+// probabilities included, there for PackedTrainBackward, and a non-null
+// `dropout_rng` with mv.dropout > 0 draws dropout masks
+// (PackedRetain::Begin) applied to the attention and feed-forward branches
+// before their residual adds.
 //
 // Numerics: every kernel call and elementwise loop below reproduces the
 // tensor op chain's arithmetic per output element (the ReLU clamp uses
@@ -74,11 +75,11 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
   ws.EnsureF(&ws.normed, rd);
   ws.EnsureF(&ws.kbt, rd);
   ws.EnsureF(&ws.vb, rd);
-  ws.EnsureF(&ws.probs, static_cast<size_t>(max_len) * max_len);
   ws.EnsureF(&ws.cls, static_cast<size_t>(num_seqs) * d);
   if (retain != nullptr) {
     retain->Begin(mv, layout, dropout_rng);
   } else {
+    ws.EnsureF(&ws.probs, static_cast<size_t>(max_len) * max_len);
     ws.EnsureF(&ws.q, rd);
     ws.EnsureF(&ws.k, rd);
     ws.EnsureF(&ws.v, rd);
@@ -109,6 +110,7 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
     float* hm = acts != nullptr ? acts->hm.data() : h;
     float* n2 = acts != nullptr ? acts->n2.data() : tmp;
     float* ffa = acts != nullptr ? acts->ffa.data() : ws.ff.data();
+    float* probs = acts != nullptr ? acts->probs.data() : ws.probs.data();
     float* out = acts == nullptr               ? h
                  : li + 1 < mv.num_layers ? retain->layers[li + 1].x.data()
                                           : ws.h.data();
@@ -124,8 +126,8 @@ const float* PackedEncodeForward(const PackedModelView& mv, PackedBatch& ws,
     kern.attention_forward_blocked(q, ws.kbt.data(), ws.vb.data(), att,
                                    layout.offsets.data(),
                                    layout.lengths.data(), num_seqs,
-                                   mv.num_heads, rows, d, scale,
-                                   ws.probs.data());
+                                   mv.num_heads, rows, d, scale, probs,
+                                   /*keep_probs=*/acts != nullptr);
     linear(base + 3, att, rows, d, d, tmp, false);
     if (dropout) {
       const float* m = acts->mask_att.data();

@@ -31,6 +31,11 @@ void PackedRetain::Begin(const PackedModelView& mv, const BatchLayout& layout,
   const int d = mv.model_dim;
   const size_t rd = static_cast<size_t>(rows) * d;
   const size_t rf = static_cast<size_t>(rows) * mv.ff_dim;
+  size_t probs = 0;
+  for (int s = 0; s < S; ++s) {
+    probs += static_cast<size_t>(layout.lengths[s]) * layout.lengths[s];
+  }
+  probs *= mv.num_heads;
   used_dropout = rng != nullptr && mv.dropout > 0.0f;
   if (static_cast<int>(layers.size()) < mv.num_layers) {
     layers.resize(mv.num_layers);
@@ -46,6 +51,7 @@ void PackedRetain::Begin(const PackedModelView& mv, const BatchLayout& layout,
     Ensure(&acts.hm, rd);
     Ensure(&acts.n2, rd);
     Ensure(&acts.ffa, rf);
+    Ensure(&acts.probs, probs);
     if (used_dropout) {
       Ensure(&acts.mask_att, rd);
       Ensure(&acts.mask_ff, rd);
@@ -205,7 +211,8 @@ void PackedTrainBackward(PackedBatch& ws, const float* out_grad,
     std::fill_n(d_k, rd, 0.0f);
     std::fill_n(d_v, rd, 0.0f);
     kern.attention_backward_packed(acts.q.data(), acts.k.data(), acts.v.data(),
-                                   d_att, d_q, d_k, d_v, layout.offsets.data(),
+                                   d_att, acts.probs.data(), d_q, d_k, d_v,
+                                   layout.offsets.data(),
                                    layout.lengths.data(), S, view.num_heads, d,
                                    scale);
     std::fill_n(d_n1, rd, 0.0f);

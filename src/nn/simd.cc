@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "nn/simd_kernels_inl.h"
+#include "nn/simd_ops.h"
 
 #if defined(__aarch64__) && defined(__linux__)
 #include <sys/auxv.h>
@@ -25,27 +26,6 @@ const Kernels* GetNeonKernels();
 #endif
 
 namespace {
-
-// Width-1 "vector" policy: instantiating the shared kernel bodies with it
-// reproduces the pre-SIMD scalar loops statement for statement, so the
-// scalar table is the bit-exactness reference for every other level.
-struct ScalarOps {
-  static constexpr int kLanes = 1;
-  using Vec = float;
-  static Vec Load(const float* p) { return *p; }
-  static void Store(float* p, Vec v) { *p = v; }
-  static Vec Broadcast(float x) { return x; }
-  static Vec Add(Vec a, Vec b) { return a + b; }
-  static Vec Sub(Vec a, Vec b) { return a - b; }
-  static Vec Mul(Vec a, Vec b) { return a * b; }
-  static Vec Div(Vec a, Vec b) { return a / b; }
-  static Vec Max(Vec a, Vec b) { return a < b ? b : a; }
-  static Vec Sqrt(Vec v) { return std::sqrt(v); }
-  static float HMax(Vec v) { return v; }
-  // std::exp, not a polynomial: the scalar table is the seed-bit-exact
-  // reference, so its exp must be the libm call the pre-SIMD code made.
-  static Vec Exp(Vec v) { return std::exp(v); }
-};
 
 void ScalarMatMulForwardRange(const float* a, const float* b, float* out,
                               int i0, int i1, int k, int n) {
@@ -71,9 +51,9 @@ void ScalarAttentionForwardPacked(const float* q, const float* k,
                                   const float* v, float* out,
                                   const int* offsets, const int* lengths,
                                   int num_seqs, int num_heads, int dim,
-                                  float scale) {
+                                  float scale, float* probs_out) {
   AttentionForwardPackedT<ScalarOps>(q, k, v, out, offsets, lengths, num_seqs,
-                                     num_heads, dim, scale);
+                                     num_heads, dim, scale, probs_out);
 }
 
 void ScalarEmbedGatherAdd(const float* e1, const float* e2, const float* e3,
@@ -88,10 +68,11 @@ void ScalarAttentionForwardBlocked(const float* q, const float* kbt,
                                    const float* vb, float* out,
                                    const int* offsets, const int* lengths,
                                    int num_seqs, int num_heads, int total_rows,
-                                   int dim, float scale, float* probs) {
+                                   int dim, float scale, float* probs,
+                                   int keep_probs) {
   AttentionForwardBlockedT<ScalarOps>(q, kbt, vb, out, offsets, lengths,
                                       num_seqs, num_heads, total_rows, dim,
-                                      scale, probs);
+                                      scale, probs, keep_probs);
 }
 
 void ScalarInt8GemmPacked(const int8_t* a, const int16_t* bp, float* c, int m,
@@ -143,13 +124,13 @@ void ScalarSoftmaxRowsMaskedBackward(const float* yv, const float* gy,
 
 void ScalarAttentionBackwardPacked(const float* qv, const float* kv,
                                    const float* vv, const float* og,
-                                   float* qg, float* kg, float* vg,
-                                   const int* offsets, const int* lengths,
-                                   int num_seqs, int num_heads, int dim,
-                                   float scale) {
-  AttentionBackwardPackedT<ScalarOps>(qv, kv, vv, og, qg, kg, vg, offsets,
-                                      lengths, num_seqs, num_heads, dim,
-                                      scale);
+                                   const float* probs, float* qg, float* kg,
+                                   float* vg, const int* offsets,
+                                   const int* lengths, int num_seqs,
+                                   int num_heads, int dim, float scale) {
+  AttentionBackwardPackedT<ScalarOps>(qv, kv, vv, og, probs, qg, kg, vg,
+                                      offsets, lengths, num_seqs, num_heads,
+                                      dim, scale);
 }
 
 void ScalarAdamStep(float* value, const float* grad, float* m, float* v,

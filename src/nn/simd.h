@@ -55,12 +55,15 @@ struct Kernels {
   void (*softmax_rows_masked)(const float* a, float* out, const int* valid,
                               int m, int n);
   // Fused packed multi-head attention forward (see
-  // nn::MultiHeadAttentionPacked for the exact semantics).
+  // nn::MultiHeadAttentionPacked for the exact semantics). `probs_out` may
+  // be null; otherwise it receives every (sequence, head) softmax block in
+  // the [seq][head][len][len] layout attention_backward_packed reads
+  // (num_heads * sum(len^2) floats).
   void (*attention_forward_packed)(const float* q, const float* k,
                                    const float* v, float* out,
                                    const int* offsets, const int* lengths,
                                    int num_seqs, int num_heads, int dim,
-                                   float scale);
+                                   float scale, float* probs_out);
   // Fused embedding gather + positional add for the packed batch pipeline:
   //   out[r, :] = concat(e1[ids1[r]], e2[ids2[r]], e3[ids3[r]]) +
   //               pos[positions[r], :]
@@ -76,16 +79,20 @@ struct Kernels {
   // total_rows) and values head-blocked as vb [head][total_rows][head_dim]
   // (contiguous head lanes), so the score and context loops stream
   // contiguous memory instead of striding across the interleaved heads.
-  // `probs` is caller-provided scratch of at least max(lengths)^2 floats —
-  // the kernel allocates nothing. Per output element the arithmetic
-  // sequence is identical to attention_forward_packed, so the two kernels
-  // agree bit for bit at every level.
+  // `probs` is caller-provided — the kernel allocates nothing. With
+  // keep_probs == 0 it is scratch of at least max(lengths)^2 floats,
+  // overwritten per (sequence, head); with keep_probs != 0 it receives
+  // every softmax block in the [seq][head][len][len] layout
+  // attention_backward_packed reads (num_heads * sum(len^2) floats). Per
+  // output element the arithmetic sequence is identical to
+  // attention_forward_packed, so the two kernels agree bit for bit at
+  // every level, probabilities included.
   void (*attention_forward_blocked)(const float* q, const float* kbt,
                                     const float* vb, float* out,
                                     const int* offsets, const int* lengths,
                                     int num_seqs, int num_heads,
                                     int total_rows, int dim, float scale,
-                                    float* probs);
+                                    float* probs, int keep_probs);
   // int8 GEMM over pre-packed weight tiles (see PackInt8WeightTiles): bp
   // holds kInt8TileN output channels x kInt8TileK k-steps per tile in the
   // exact order the micro-kernel consumes, zero-padded in both dimensions
@@ -127,11 +134,10 @@ struct Kernels {
   // closures in nn/tensor.cc bit for bit, and the vector tables preserve
   // each gradient element's accumulation order (dot-shaped reductions
   // keep their ascending order per lane; elementwise passes vectorize
-  // freely). The one cross-level deviation is again V::Exp, which the
-  // packed attention backward uses to recompute the softmax
-  // probabilities — so at a vector level the recomputed probs match that
-  // level's *forward* bits exactly, and only cross-level equality is
-  // epsilon-gated (like the forward).
+  // freely). The attention backward reads the probabilities its forward
+  // kept rather than recomputing them, so the one cross-level deviation
+  // is inherited from the forward's V::Exp: given the same probabilities
+  // every level produces the same gradient bits.
 
   // dA[i0:i1, :] += dOut[i0:i1, :] * B^T with dOut [m, n], B [k, n]. Each
   // dA element is one complete ascending-j dot accumulated in a register
@@ -167,14 +173,17 @@ struct Kernels {
   void (*softmax_rows_masked_backward)(const float* yv, const float* gy,
                                        float* gx, const int* valid, int m,
                                        int n);
-  // Backward of attention_forward_packed: recomputes the probabilities
-  // (through V::Exp — see above) and accumulates qg / kg / vg, any of
-  // which may be null. All dot reductions keep the scalar's ascending
-  // order per lane; lanes run across key positions (d_probs) and head
-  // columns (the gradient axpys).
+  // Backward of the packed attention forwards: accumulates qg / kg / vg,
+  // any of which may be null, from the softmax probabilities `probs` the
+  // forward kept, laid out [seq][head][len][len] — block (s, h) starts at
+  // num_heads * sum_{s' < s} len_{s'}^2 + h * len_s^2. Nothing is
+  // recomputed. All dot reductions keep the scalar's ascending order per
+  // lane, and every gradient element adds its terms in the scalar's order,
+  // so every level produces the scalar table's bits.
   void (*attention_backward_packed)(const float* qv, const float* kv,
                                     const float* vv, const float* og,
-                                    float* qg, float* kg, float* vg,
+                                    const float* probs, float* qg,
+                                    float* kg, float* vg,
                                     const int* offsets, const int* lengths,
                                     int num_seqs, int num_heads, int dim,
                                     float scale);

@@ -8,75 +8,13 @@
 
 #if defined(QPE_HAVE_AVX2)
 
-#include <immintrin.h>
-
 #include "nn/simd.h"
 #include "nn/simd_kernels_inl.h"
+#include "nn/simd_ops.h"
 
 namespace qpe::nn::simd {
 
 namespace {
-
-struct Avx2Ops {
-  static constexpr int kLanes = 8;
-  using Vec = __m256;
-  static Vec Load(const float* p) { return _mm256_loadu_ps(p); }
-  static void Store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
-  static Vec Broadcast(float x) { return _mm256_set1_ps(x); }
-  static Vec Add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
-  static Vec Sub(Vec a, Vec b) { return _mm256_sub_ps(a, b); }
-  static Vec Mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
-  static Vec Div(Vec a, Vec b) { return _mm256_div_ps(a, b); }
-  // max(a, b) with b preferred on unordered — matches std::max's
-  // (a < b ? b : a) selection exactly on the finite inputs the kernels see.
-  static Vec Max(Vec a, Vec b) { return _mm256_max_ps(b, a); }
-  // Correctly rounded per IEEE 754, same bits as scalar sqrtf per lane.
-  static Vec Sqrt(Vec v) { return _mm256_sqrt_ps(v); }
-  // All-ones mask where v > 0 (quiet compare: NaN lanes gate off), and a
-  // bitwise AND — the pair turns BiasActBackwardT's branch into a mask.
-  static Vec GtZero(Vec v) {
-    return _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ);
-  }
-  static Vec And(Vec a, Vec b) { return _mm256_and_ps(a, b); }
-  static float HMax(Vec v) {
-    __m128 lo = _mm256_castps256_ps128(v);
-    __m128 hi = _mm256_extractf128_ps(v, 1);
-    __m128 m = _mm_max_ps(lo, hi);
-    m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-    m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
-    return _mm_cvtss_f32(m);
-  }
-  // 8-lane expf: Cephes-style range reduction (x = n*ln2 + r, ln2 split
-  // into a high part and a correction so r stays accurate) and a degree-5
-  // polynomial on r, then scale by 2^n via exponent-field arithmetic.
-  // Max error ~2 ulp against libm expf — this is the one kernel op allowed
-  // to diverge from the scalar reference (epsilon contract, see
-  // simd_kernels_inl.h); vectorizing exp is where the attention-softmax
-  // speedup comes from. Inputs are clamped to the finite float range of
-  // expf, so softmax's x - max <= 0 arguments never overflow and deeply
-  // negative scores saturate to a denormal instead of 0 (harmless: they
-  // vanish in the normalizing division).
-  static Vec Exp(Vec x) {
-    x = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-87.3365478515625f)),
-                      _mm256_set1_ps(88.3762626647949f));
-    const Vec n = _mm256_round_ps(
-        _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
-        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    Vec r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(0.693359375f)));
-    r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(-2.12194440e-4f)));
-    Vec p = _mm256_set1_ps(1.9875691500e-4f);
-    p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.3981999507e-3f));
-    p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(8.3334519073e-3f));
-    p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(4.1665795894e-2f));
-    p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.6666665459e-1f));
-    p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(5.0000001201e-1f));
-    p = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, r), r),
-                      _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
-    const __m256i pow2 = _mm256_slli_epi32(
-        _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
-    return _mm256_mul_ps(p, _mm256_castsi256_ps(pow2));
-  }
-};
 
 void Avx2MatMulForwardRange(const float* a, const float* b, float* out, int i0,
                             int i1, int k, int n) {
@@ -100,10 +38,10 @@ void Avx2SoftmaxRowsMasked(const float* a, float* out, const int* valid,
 
 void Avx2AttentionForwardPacked(const float* q, const float* k, const float* v,
                                 float* out, const int* offsets,
-                                const int* lengths, int num_seqs,
-                                int num_heads, int dim, float scale) {
+                                const int* lengths, int num_seqs, int num_heads,
+                                int dim, float scale, float* probs_out) {
   AttentionForwardPackedT<Avx2Ops>(q, k, v, out, offsets, lengths, num_seqs,
-                                   num_heads, dim, scale);
+                                   num_heads, dim, scale, probs_out);
 }
 
 void Avx2EmbedGatherAdd(const float* e1, const float* e2, const float* e3,
@@ -118,10 +56,11 @@ void Avx2AttentionForwardBlocked(const float* q, const float* kbt,
                                  const float* vb, float* out,
                                  const int* offsets, const int* lengths,
                                  int num_seqs, int num_heads, int total_rows,
-                                 int dim, float scale, float* probs) {
-  AttentionForwardBlockedT<Avx2Ops>(q, kbt, vb, out, offsets, lengths,
-                                    num_seqs, num_heads, total_rows, dim,
-                                    scale, probs);
+                                 int dim, float scale, float* probs,
+                                 int keep_probs) {
+  AttentionForwardBlockedT<Avx2Ops>(q, kbt, vb, out, offsets, lengths, num_seqs,
+                                    num_heads, total_rows, dim, scale, probs,
+                                    keep_probs);
 }
 
 // Packed-tile int8 GEMM. The tile layout (kInt8TileN = 4 channels x
@@ -270,11 +209,12 @@ void Avx2SoftmaxRowsMaskedBackward(const float* yv, const float* gy,
 }
 
 void Avx2AttentionBackwardPacked(const float* qv, const float* kv,
-                                 const float* vv, const float* og, float* qg,
-                                 float* kg, float* vg, const int* offsets,
+                                 const float* vv, const float* og,
+                                 const float* probs, float* qg, float* kg,
+                                 float* vg, const int* offsets,
                                  const int* lengths, int num_seqs,
                                  int num_heads, int dim, float scale) {
-  AttentionBackwardPackedT<Avx2Ops>(qv, kv, vv, og, qg, kg, vg, offsets,
+  AttentionBackwardPackedT<Avx2Ops>(qv, kv, vv, og, probs, qg, kg, vg, offsets,
                                     lengths, num_seqs, num_heads, dim, scale);
 }
 

@@ -405,20 +405,28 @@ void AttentionForwardPackedT(const float* __restrict qv,
                              const float* __restrict vv, float* __restrict ov,
                              const int* __restrict offsets,
                              const int* __restrict lengths, int num_seqs,
-                             int num_heads, int dim, float scale) {
+                             int num_heads, int dim, float scale,
+                             float* __restrict probs_out) {
   constexpr int L = V::kLanes;
   const int dh = dim / num_heads;
   const int dhv = (dh / L) * L;
-  std::vector<float> probs;  // per-(sequence, head) [len, len] scratch
-  std::vector<float> kt;     // packed k^T head block, [dh, len]
+  std::vector<float> scratch;  // per-(sequence, head) [len, len] scratch
+  std::vector<float> kt;       // packed k^T head block, [dh, len]
   for (int s = 0; s < num_seqs; ++s) {
     const int off = offsets[s];
     const int len = lengths[s];
     const int lenv = (len / L) * L;
-    probs.resize(static_cast<size_t>(len) * len);
+    if (probs_out == nullptr) scratch.resize(static_cast<size_t>(len) * len);
     kt.resize(static_cast<size_t>(dh) * len);
     for (int h = 0; h < num_heads; ++h) {
       const int col0 = h * dh;
+      // This (sequence, head)'s probability block: the caller's next slot
+      // when it keeps them for the backward, else the reused scratch.
+      float* __restrict probs = scratch.data();
+      if (probs_out != nullptr) {
+        probs = probs_out;
+        probs_out += static_cast<size_t>(len) * len;
+      }
       // Pack the head's key block transposed so the score loops run
       // saxpy-style over a contiguous j dimension.
       for (int j = 0; j < len; ++j) {
@@ -435,7 +443,7 @@ void AttentionForwardPackedT(const float* __restrict qv,
       for (int i = 0; i < len; ++i) {
         const float* __restrict qrow =
             qv + static_cast<size_t>(off + i) * dim + col0;
-        float* __restrict prow = probs.data() + static_cast<size_t>(i) * len;
+        float* __restrict prow = probs + static_cast<size_t>(i) * len;
         // Scores q·k, register-tiled over j like MatMulForwardRangeT: the
         // per-element sum still accumulates ascending c from zero, so the
         // bits match the old zero-then-axpy form at every level. The
@@ -528,7 +536,7 @@ void AttentionForwardPackedT(const float* __restrict qv,
       // MatMul(probs, vh).
       for (int i = 0; i < len; ++i) {
         const float* __restrict prow =
-            probs.data() + static_cast<size_t>(i) * len;
+            probs + static_cast<size_t>(i) * len;
         float* __restrict orow = ov + static_cast<size_t>(off + i) * dim + col0;
         // Context probs * vh, register-tiled over the head lanes c: the
         // per-element sum accumulates ascending j from zero, exactly like
@@ -619,7 +627,10 @@ void EmbedGatherAddT(const float* __restrict e1, const float* __restrict e2,
 // order (scores still sum ascending c, context ascending j, the scale
 // is one multiply on the finished dot either way), so the kernel stays
 // bit-identical to AttentionForwardPackedT at every level, and the
-// scalar level remains bit-identical to per-plan Encode.
+// scalar level remains bit-identical to per-plan Encode. With keep_probs
+// each (sequence, head)'s probabilities land in their own block of the
+// [seq][head][len][len] array the backward reads; otherwise one scratch
+// block is reused.
 template <typename V>
 void AttentionForwardBlockedT(const float* __restrict qv,
                               const float* __restrict kbt,
@@ -628,7 +639,8 @@ void AttentionForwardBlockedT(const float* __restrict qv,
                               const int* __restrict offsets,
                               const int* __restrict lengths, int num_seqs,
                               int num_heads, int total_rows, int dim,
-                              float scale, float* __restrict probs) {
+                              float scale, float* __restrict probs_base,
+                              int keep_probs) {
   constexpr int L = V::kLanes;
   constexpr int kQueryTile = 4;
   const int dh = dim / num_heads;
@@ -638,6 +650,10 @@ void AttentionForwardBlockedT(const float* __restrict qv,
     const int lenv = (len / L) * L;
     for (int h = 0; h < num_heads; ++h) {
       const int col0 = h * dh;
+      // This (sequence, head)'s probability block: the next slot of the
+      // retained [seq][head][len][len] array, or the reused scratch.
+      float* __restrict probs = probs_base;
+      if (keep_probs) probs_base += static_cast<size_t>(len) * len;
       // This head's key block, transposed: row c holds k[:, col0 + c] with
       // stride total_rows; the sequence's columns start at offset `off`.
       const float* __restrict ktb =
@@ -943,6 +959,31 @@ void AttentionForwardBlockedT(const float* __restrict qv,
 // term to it leaves its bits unchanged. That is what makes the masked
 // adds in BiasActBackwardT bit-safe.
 
+// Register tile of the input-gradient GEMM: NV vectors of dA columns
+// starting at p, each lane one complete ascending-j dot from zero over the
+// transposed B panel btv [n, k], added to dA once.
+template <typename V, int NV>
+inline void MatMulBackwardATile(const float* __restrict orow,
+                                const float* __restrict btv,
+                                float* __restrict arow, int p, int k, int n) {
+  constexpr int L = V::kLanes;
+  typename V::Vec acc[NV];
+#pragma GCC unroll 8
+  for (int t = 0; t < NV; ++t) acc[t] = V::Broadcast(0.0f);
+  for (int j = 0; j < n; ++j) {
+    const float* __restrict btrow = btv + static_cast<size_t>(j) * k + p;
+    const auto vo = V::Broadcast(orow[j]);
+#pragma GCC unroll 8
+    for (int t = 0; t < NV; ++t) {
+      acc[t] = V::Add(acc[t], V::Mul(vo, V::Load(btrow + t * L)));
+    }
+  }
+#pragma GCC unroll 8
+  for (int t = 0; t < NV; ++t) {
+    V::Store(arow + p + t * L, V::Add(V::Load(arow + p + t * L), acc[t]));
+  }
+}
+
 // dA[i0:i1, :] += dOut[i0:i1, :] * B^T. The seed closure computes each
 // dA element as one complete ascending-j dot in a register, added to dA
 // once — note this is *not* the forward's accumulate-into-out shape, so
@@ -950,11 +991,13 @@ void AttentionForwardBlockedT(const float* __restrict qv,
 // register-tiled lanes across the p (dA column) dimension over a
 // transposed copy of B: each lane's dot still starts at zero and
 // accumulates ascending j, followed by the one final add, so every level
-// produces the seed's bits. The transpose is pure data movement (never
-// rounds) into a thread-local scratch, rebuilt per ParallelFor range —
-// ranges are capped at 4x the thread count, and the training matrices
-// are small enough (k, n <= a few hundred) that the repack is noise next
-// to the O(m*k*n) dots it unlocks.
+// produces the seed's bits. Tiles hold up to six independent vector
+// accumulators, so the model width (k = 48 at AVX2) runs in one pass
+// instead of one wide tile plus latency-bound single-vector tails. The
+// transpose is pure data movement (never rounds) into a thread-local
+// scratch, rebuilt per ParallelFor range — ranges are capped at 4x the
+// thread count, and the training matrices are small enough (k, n <= a few
+// hundred) that the repack is noise next to the O(m*k*n) dots it unlocks.
 template <typename V>
 void MatMulBackwardAT(const float* __restrict og, const float* __restrict bv,
                       float* __restrict ag, int i0, int i1, int k, int n) {
@@ -974,42 +1017,40 @@ void MatMulBackwardAT(const float* __restrict og, const float* __restrict bv,
     static thread_local std::vector<float> bt;  // B^T scratch, [n, k]
     bt.resize(static_cast<size_t>(n) * k);
     float* __restrict btv = bt.data();
-    for (int p = 0; p < k; ++p) {
-      const float* __restrict brow = bv + static_cast<size_t>(p) * n;
-      for (int j = 0; j < n; ++j) btv[static_cast<size_t>(j) * k + p] = brow[j];
+    for (int j = 0; j < n; ++j) {
+      float* __restrict btrow = btv + static_cast<size_t>(j) * k;
+      for (int p = 0; p < k; ++p) {
+        btrow[p] = bv[static_cast<size_t>(p) * n + j];
+      }
     }
-    const auto zero = V::Broadcast(0.0f);
+    const int kv = (k / L) * L;
     for (int i = i0; i < i1; ++i) {
       const float* __restrict orow = og + static_cast<size_t>(i) * n;
       float* __restrict arow = ag + static_cast<size_t>(i) * k;
       int p = 0;
-      for (; p + 4 * L <= k; p += 4 * L) {
-        auto a0 = zero;
-        auto a1 = zero;
-        auto a2 = zero;
-        auto a3 = zero;
-        for (int j = 0; j < n; ++j) {
-          const float* __restrict btrow = btv + static_cast<size_t>(j) * k + p;
-          const auto vo = V::Broadcast(orow[j]);
-          a0 = V::Add(a0, V::Mul(vo, V::Load(btrow)));
-          a1 = V::Add(a1, V::Mul(vo, V::Load(btrow + L)));
-          a2 = V::Add(a2, V::Mul(vo, V::Load(btrow + 2 * L)));
-          a3 = V::Add(a3, V::Mul(vo, V::Load(btrow + 3 * L)));
-        }
-        V::Store(arow + p, V::Add(V::Load(arow + p), a0));
-        V::Store(arow + p + L, V::Add(V::Load(arow + p + L), a1));
-        V::Store(arow + p + 2 * L, V::Add(V::Load(arow + p + 2 * L), a2));
-        V::Store(arow + p + 3 * L, V::Add(V::Load(arow + p + 3 * L), a3));
+      for (; p + 6 * L <= kv; p += 6 * L) {
+        MatMulBackwardATile<V, 6>(orow, btv, arow, p, k, n);
       }
-      for (; p + L <= k; p += L) {
-        auto a0 = zero;
-        for (int j = 0; j < n; ++j) {
-          a0 = V::Add(a0, V::Mul(V::Broadcast(orow[j]),
-                                 V::Load(btv + static_cast<size_t>(j) * k + p)));
-        }
-        V::Store(arow + p, V::Add(V::Load(arow + p), a0));
+      switch ((kv - p) / L) {
+        case 5:
+          MatMulBackwardATile<V, 5>(orow, btv, arow, p, k, n);
+          break;
+        case 4:
+          MatMulBackwardATile<V, 4>(orow, btv, arow, p, k, n);
+          break;
+        case 3:
+          MatMulBackwardATile<V, 3>(orow, btv, arow, p, k, n);
+          break;
+        case 2:
+          MatMulBackwardATile<V, 2>(orow, btv, arow, p, k, n);
+          break;
+        case 1:
+          MatMulBackwardATile<V, 1>(orow, btv, arow, p, k, n);
+          break;
+        default:
+          break;
       }
-      for (; p < k; ++p) {
+      for (p = kv; p < k; ++p) {
         float dot = 0.0f;
         for (int j = 0; j < n; ++j) {
           dot += orow[j] * btv[static_cast<size_t>(j) * k + p];
@@ -1020,41 +1061,120 @@ void MatMulBackwardAT(const float* __restrict og, const float* __restrict bv,
   }
 }
 
-// dB[p0:p1, :] += (A^T * dOut)[p0:p1, :] as rank-1 row updates: for each
-// i ascending, axpy dOut row i into the dB rows selected by A row i. Per
+// Register tile of the weight-gradient GEMM: NV vectors of one dB row
+// starting at column j, loaded once, accumulating the rank-1 terms
+// a * dOut[i, j:] in ascending i, stored once. The rows i are either all
+// of [0, m) (nz_i null: column p of A has no zero) or the compacted list
+// nz_i[0, count) of rows whose entry is nonzero.
+template <typename V, int NV>
+inline void MatMulBackwardBTile(const float* __restrict acol, int k,
+                                const float* __restrict og,
+                                const int* __restrict nz_i, int count,
+                                float* __restrict brow, int j, int n) {
+  constexpr int L = V::kLanes;
+  typename V::Vec acc[NV];
+#pragma GCC unroll 8
+  for (int t = 0; t < NV; ++t) acc[t] = V::Load(brow + j + t * L);
+  for (int e = 0; e < count; ++e) {
+    const size_t i = nz_i != nullptr ? static_cast<size_t>(nz_i[e]) : e;
+    const float* __restrict orow = og + i * n + j;
+    const auto va = V::Broadcast(acol[i * k]);
+#pragma GCC unroll 8
+    for (int t = 0; t < NV; ++t) {
+      acc[t] = V::Add(acc[t], V::Mul(va, V::Load(orow + t * L)));
+    }
+  }
+#pragma GCC unroll 8
+  for (int t = 0; t < NV; ++t) V::Store(brow + j + t * L, acc[t]);
+}
+
+// dB[p0:p1, :] += (A^T * dOut)[p0:p1, :] as rank-1 row updates: per
 // output element the i dimension accumulates in ascending order
 // regardless of the p partition, and the seed's aval == 0 skip (ReLU
 // inputs are often sparse) is kept at every level — the surviving value
-// subsequence is identical, so so are the bits. The vector path runs
-// lanes across the contiguous j dimension of the axpy.
+// subsequence is identical, so so are the bits. The width-1 policy keeps
+// the seed's i-outer loop. Vector levels go p-outer: column p of A is
+// first compacted into its nonzero (i, aval) pairs in ascending i, then a
+// tile of up to six vectors of dB row p stays in registers across that
+// whole list — each element still starts from its memory value and adds
+// the same products in the same order, but is loaded and stored once
+// instead of once per row, and a ReLU-sparse A costs only its nonzeros.
 template <typename V>
 void MatMulBackwardBT(const float* __restrict av, const float* __restrict og,
                       float* __restrict bg, int p0, int p1, int m, int k,
                       int n) {
   constexpr int L = V::kLanes;
-  for (int i = 0; i < m; ++i) {
-    const float* __restrict arow = av + static_cast<size_t>(i) * k;
-    const float* __restrict orow = og + static_cast<size_t>(i) * n;
-    for (int p = p0; p < p1; ++p) {
-      const float aval = arow[p];
-      if (aval == 0.0f) continue;
-      float* __restrict brow = bg + static_cast<size_t>(p) * n;
-      if constexpr (L == 1) {
+  if constexpr (L == 1) {
+    for (int i = 0; i < m; ++i) {
+      const float* __restrict arow = av + static_cast<size_t>(i) * k;
+      const float* __restrict orow = og + static_cast<size_t>(i) * n;
+      for (int p = p0; p < p1; ++p) {
+        const float aval = arow[p];
+        if (aval == 0.0f) continue;
+        float* __restrict brow = bg + static_cast<size_t>(p) * n;
         for (int j = 0; j < n; ++j) brow[j] += aval * orow[j];
-      } else {
-        const auto va = V::Broadcast(aval);
-        int j = 0;
-        for (; j + 2 * L <= n; j += 2 * L) {
-          V::Store(brow + j,
-                   V::Add(V::Load(brow + j), V::Mul(va, V::Load(orow + j))));
-          V::Store(brow + j + L, V::Add(V::Load(brow + j + L),
-                                        V::Mul(va, V::Load(orow + j + L))));
+      }
+    }
+  } else {
+    static thread_local std::vector<int> nz_iv;
+    static thread_local std::vector<int> zeros_v;
+    nz_iv.resize(static_cast<size_t>(m));
+    zeros_v.assign(static_cast<size_t>(p1 - p0), 0);
+    // Zeros per column of A, counted row-major (contiguous, so the
+    // compiler vectorizes it): a column without zeros (any non-ReLU
+    // input) runs over all rows, the others compact their nonzero rows
+    // first, branch-free since ReLU zeros are unpredictable.
+    int* __restrict zeros = zeros_v.data();
+    for (int i = 0; i < m; ++i) {
+      const float* __restrict arow = av + static_cast<size_t>(i) * k + p0;
+      for (int p = 0; p < p1 - p0; ++p) zeros[p] += arow[p] == 0.0f;
+    }
+    const int nv = (n / L) * L;
+    for (int p = p0; p < p1; ++p) {
+      const float* __restrict acol = av + p;
+      const int* nz_i = nullptr;
+      int count = m;
+      if (zeros[p - p0] != 0) {
+        int* __restrict list = nz_iv.data();
+        count = 0;
+        for (int i = 0; i < m; ++i) {
+          list[count] = i;
+          count += acol[static_cast<size_t>(i) * k] != 0.0f ? 1 : 0;
         }
-        for (; j + L <= n; j += L) {
-          V::Store(brow + j,
-                   V::Add(V::Load(brow + j), V::Mul(va, V::Load(orow + j))));
+        nz_i = list;
+      }
+      if (count == 0) continue;
+      float* __restrict brow = bg + static_cast<size_t>(p) * n;
+      int j = 0;
+      for (; j + 6 * L <= nv; j += 6 * L) {
+        MatMulBackwardBTile<V, 6>(acol, k, og, nz_i, count, brow, j, n);
+      }
+      switch ((nv - j) / L) {
+        case 5:
+          MatMulBackwardBTile<V, 5>(acol, k, og, nz_i, count, brow, j, n);
+          break;
+        case 4:
+          MatMulBackwardBTile<V, 4>(acol, k, og, nz_i, count, brow, j, n);
+          break;
+        case 3:
+          MatMulBackwardBTile<V, 3>(acol, k, og, nz_i, count, brow, j, n);
+          break;
+        case 2:
+          MatMulBackwardBTile<V, 2>(acol, k, og, nz_i, count, brow, j, n);
+          break;
+        case 1:
+          MatMulBackwardBTile<V, 1>(acol, k, og, nz_i, count, brow, j, n);
+          break;
+        default:
+          break;
+      }
+      for (j = nv; j < n; ++j) {
+        float acc = brow[j];
+        for (int e = 0; e < count; ++e) {
+          const size_t i = nz_i != nullptr ? static_cast<size_t>(nz_i[e]) : e;
+          acc += acol[i * k] * og[i * n + j];
         }
-        for (; j < n; ++j) brow[j] += aval * orow[j];
+        brow[j] = acc;
       }
     }
   }
@@ -1223,139 +1343,169 @@ void SoftmaxRowsMaskedBackwardT(const float* __restrict yv,
   }
 }
 
-// Backward of attention_forward_packed. The probabilities are recomputed
-// rather than cached across the graph's lifetime (the seed closure's
-// trade-off, kept here): per element the score dot accumulates ascending
-// c from zero and is scaled once, the max reduction is exact, exp goes
-// through V::Exp — so at any level the recomputed probs match that
-// level's *forward* bits exactly, and only cross-level equality is
-// epsilon-gated — and the normalizing sum stays scalar ascending. The
-// gradient phases keep the seed's accumulation orders: d_probs lanes run
-// across key positions j over a transposed value pack (each lane's dot
-// ascending c from zero), and the v/q/k gradient axpys run lanes across
-// the head columns with their per-j memory accumulation order untouched.
+// One register tile of a small accumulating product: out[r, c] += sum
+// over t ascending of a(r, t) * b[t, c] for R rows, lanes across columns
+// at the NV offsets coff. The last offset may overlap its neighbour by up
+// to L - 1 lanes when the width is not a multiple of L: both vectors start
+// from the same memory values and add the same products, so the
+// overlapped lanes store equal bits. a(r, t) is a[r * ars + t * ats], row
+// t of b starts at b + t * bs, row r of out at out + r * os. Each element
+// starts from its memory value and adds its terms in ascending t, one mul
+// then one add each — the seed's per-element axpy sequence with the loads
+// and stores hoisted out of the t loop.
+template <typename V, int R, int NV>
+inline void AddProductTile(const float* __restrict a, size_t ars, size_t ats,
+                           const float* __restrict b, size_t bs,
+                           float* __restrict out, size_t os, int nt,
+                           const int* __restrict coff) {
+  typename V::Vec acc[R][NV];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) acc[r][v] = V::Load(out + r * os + coff[v]);
+  }
+  for (int t = 0; t < nt; ++t) {
+    const float* __restrict brow = b + t * bs;
+    typename V::Vec bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) bv[v] = V::Load(brow + coff[v]);
+    const float* __restrict acol = a + t * ats;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const auto va = V::Broadcast(acol[r * ars]);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = V::Add(acc[r][v], V::Mul(va, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) V::Store(out + r * os + coff[v], acc[r][v]);
+  }
+}
+
+// AddProductTile over all nr rows: tiles of four, then one tile of the
+// one to three rows left, so every tile keeps at least NV * R independent
+// accumulator chains.
+template <typename V, int NV>
+void AddProductRows(const float* __restrict a, size_t ars, size_t ats,
+                    const float* __restrict b, size_t bs,
+                    float* __restrict out, size_t os, int nr, int nt,
+                    const int* __restrict coff) {
+  int r = 0;
+  for (; r + 4 <= nr; r += 4) {
+    AddProductTile<V, 4, NV>(a + r * ars, ars, ats, b, bs, out + r * os, os,
+                             nt, coff);
+  }
+  a += r * ars;
+  out += r * os;
+  switch (nr - r) {
+    case 3:
+      AddProductTile<V, 3, NV>(a, ars, ats, b, bs, out, os, nt, coff);
+      break;
+    case 2:
+      AddProductTile<V, 2, NV>(a, ars, ats, b, bs, out, os, nt, coff);
+      break;
+    case 1:
+      AddProductTile<V, 1, NV>(a, ars, ats, b, bs, out, os, nt, coff);
+      break;
+    default:
+      break;
+  }
+}
+
+// out[r, c] += sum_t a(r, t) * b[t, c] for r in [0, nr), c in [0, w), t
+// ascending in [0, nt) (operand layout as in AddProductTile), in column
+// chunks of two vectors taken from the right so an overlapping last
+// vector always shares a tile with the vector it overlaps. Widths
+// narrower than one vector run the same per-element sequence in scalar
+// code.
+template <typename V>
+void AddProduct(const float* __restrict a, size_t ars, size_t ats,
+                const float* __restrict b, size_t bs, float* __restrict out,
+                size_t os, int nr, int nt, int w) {
+  constexpr int L = V::kLanes;
+  if (w < L) {
+    for (int r = 0; r < nr; ++r) {
+      float* __restrict orow = out + r * os;
+      for (int c = 0; c < w; ++c) {
+        float acc = orow[c];
+        for (int t = 0; t < nt; ++t) {
+          acc += a[r * ars + t * ats] * b[t * bs + c];
+        }
+        orow[c] = acc;
+      }
+    }
+    return;
+  }
+  const int nvec = (w + L - 1) / L;
+  for (int v1 = nvec; v1 > 0; v1 -= 2) {
+    const int v0 = std::max(0, v1 - 2);
+    int coff[2];
+    for (int v = v0; v < v1; ++v) coff[v - v0] = std::min(v * L, w - L);
+    if (v1 - v0 == 2) {
+      AddProductRows<V, 2>(a, ars, ats, b, bs, out, os, nr, nt, coff);
+    } else {
+      AddProductRows<V, 1>(a, ars, ats, b, bs, out, os, nr, nt, coff);
+    }
+  }
+}
+
+// Backward of the packed attention forwards. `probs` holds the softmax
+// probabilities the forward computed, one [len, len] block per (sequence,
+// head) back to back ([seq][head][len][len], heads x sum len^2 floats —
+// see attention_backward_packed in simd.h); nothing is recomputed. The
+// gradient phases keep the seed's accumulation orders per element:
+// d_probs is a dot over the head columns, ascending c from zero; the
+// softmax backward's row dot is scalar ascending j; and every element of
+// qg / kg / vg starts from its memory value and adds its terms in
+// ascending query (kg, vg) or key (qg) order. The width-1 policy runs the
+// seed loops. Vector levels form d_probs with lanes across key positions
+// over a zero-padded transposed value pack, keep four softmax row dots in
+// flight as independent scalar chains, and form vg, qg and kg with lanes
+// across the head columns — all four as register-tiled AddProduct calls.
+// The scratch is thread-local and grows to the high-water shape.
 template <typename V>
 void AttentionBackwardPackedT(const float* __restrict qv,
                               const float* __restrict kv,
                               const float* __restrict vv,
-                              const float* __restrict og, float* __restrict qg,
-                              float* __restrict kg, float* __restrict vg,
+                              const float* __restrict og,
+                              const float* __restrict probs,
+                              float* __restrict qg, float* __restrict kg,
+                              float* __restrict vg,
                               const int* __restrict offsets,
                               const int* __restrict lengths, int num_seqs,
                               int num_heads, int dim, float scale) {
   constexpr int L = V::kLanes;
+  constexpr int kQueryTile = 4;
   const int dh = dim / num_heads;
-  const int dhv = (dh / L) * L;
-  std::vector<float> probs, dprobs;
-  std::vector<float> kt, vt;  // vector levels: k^T / v^T head packs [dh, len]
+  static thread_local std::vector<float> scratch;
+  const float* __restrict pblock = probs;
   for (int s = 0; s < num_seqs; ++s) {
     const int off = offsets[s];
     const int len = lengths[s];
-    probs.resize(static_cast<size_t>(len) * len);
-    dprobs.resize(static_cast<size_t>(len) * len);
-    if constexpr (L != 1) {
-      kt.resize(static_cast<size_t>(dh) * len);
-      vt.resize(static_cast<size_t>(dh) * len);
-    }
-    for (int h = 0; h < num_heads; ++h) {
+    // Row stride of the d_probs / d_scores scratch: padded to whole
+    // vectors at vector levels, and the transposed value pack behind it.
+    const int lp = ((len + L - 1) / L) * L;
+    const size_t dsize = static_cast<size_t>(len) * lp;
+    const size_t need =
+        dsize + (L == 1 ? 0 : static_cast<size_t>(dh) * lp);
+    if (scratch.size() < need) scratch.resize(need);
+    float* __restrict ds = scratch.data();
+    float* __restrict vt = scratch.data() + dsize;
+    const size_t block = static_cast<size_t>(len) * len;
+    for (int h = 0; h < num_heads; ++h, pblock += block) {
       const int col0 = h * dh;
-      if constexpr (L != 1) {
-        for (int j = 0; j < len; ++j) {
-          const float* __restrict krow =
-              kv + static_cast<size_t>(off + j) * dim + col0;
-          const float* __restrict vrow =
-              vv + static_cast<size_t>(off + j) * dim + col0;
-          for (int c = 0; c < dh; ++c) {
-            kt[static_cast<size_t>(c) * len + j] = krow[c];
-            vt[static_cast<size_t>(c) * len + j] = vrow[c];
-          }
-        }
-      }
-      // --- Recompute this head's attention probabilities ---------------
-      for (int i = 0; i < len; ++i) {
-        const float* __restrict qrow =
-            qv + static_cast<size_t>(off + i) * dim + col0;
-        float* __restrict prow = probs.data() + static_cast<size_t>(i) * len;
-        if constexpr (L == 1) {
-          for (int j = 0; j < len; ++j) {
-            const float* __restrict krow =
-                kv + static_cast<size_t>(off + j) * dim + col0;
-            float dot = 0;
-            for (int c = 0; c < dh; ++c) dot += qrow[c] * krow[c];
-            prow[j] = dot * scale;
-          }
-          float max_v = prow[0];
-          for (int j = 1; j < len; ++j) max_v = std::max(max_v, prow[j]);
-          float sum = 0;
-          for (int j = 0; j < len; ++j) {
-            prow[j] = std::exp(prow[j] - max_v);
-            sum += prow[j];
-          }
-          for (int j = 0; j < len; ++j) prow[j] /= sum;
-        } else {
-          const int lenv = (len / L) * L;
-          const float* __restrict ktv = kt.data();
-          const auto zero = V::Broadcast(0.0f);
-          const auto vs = V::Broadcast(scale);
-          int j = 0;
-          for (; j + L <= len; j += L) {
-            auto a0 = zero;
-            for (int c = 0; c < dh; ++c) {
-              a0 = V::Add(a0, V::Mul(V::Broadcast(qrow[c]),
-                                     V::Load(ktv + static_cast<size_t>(c) * len +
-                                             j)));
-            }
-            V::Store(prow + j, V::Mul(a0, vs));
-          }
-          for (; j < len; ++j) {
-            float dot = 0;
-            for (int c = 0; c < dh; ++c) {
-              dot += qrow[c] * ktv[static_cast<size_t>(c) * len + j];
-            }
-            prow[j] = dot * scale;
-          }
-          float max_v = prow[0];
-          {
-            int jj = 1;
-            if (len >= L) {
-              auto vmax = V::Load(prow);
-              for (jj = L; jj + L <= len; jj += L) {
-                vmax = V::Max(vmax, V::Load(prow + jj));
-              }
-              max_v = V::HMax(vmax);
-            }
-            for (; jj < len; ++jj) max_v = std::max(max_v, prow[jj]);
-          }
-          {
-            const auto vm = V::Broadcast(max_v);
-            int jj = 0;
-            for (; jj < lenv; jj += L) {
-              V::Store(prow + jj, V::Exp(V::Sub(V::Load(prow + jj), vm)));
-            }
-            for (; jj < len; ++jj) prow[jj] = std::exp(prow[jj] - max_v);
-          }
-          float sum = 0;
-          for (int jj = 0; jj < len; ++jj) sum += prow[jj];
-          {
-            const auto vsum = V::Broadcast(sum);
-            int jj = 0;
-            for (; jj < lenv; jj += L) {
-              V::Store(prow + jj, V::Div(V::Load(prow + jj), vsum));
-            }
-            for (; jj < len; ++jj) prow[jj] /= sum;
-          }
-        }
-      }
-      // --- Gradient phases, same accumulation orders as the seed -------
-      for (int i = 0; i < len; ++i) {
-        const float* __restrict prow =
-            probs.data() + static_cast<size_t>(i) * len;
-        float* __restrict dprow =
-            dprobs.data() + static_cast<size_t>(i) * len;
-        const float* __restrict grow =
-            og + static_cast<size_t>(off + i) * dim + col0;
-        // d_probs = d_ctx * vh^T; d_vh += probs^T * d_ctx.
-        if constexpr (L == 1) {
+      const float* __restrict gbase =
+          og + static_cast<size_t>(off) * dim + col0;
+      if constexpr (L == 1) {
+        for (int i = 0; i < len; ++i) {
+          const float* __restrict prow = pblock + static_cast<size_t>(i) * len;
+          float* __restrict dprow = ds + static_cast<size_t>(i) * len;
+          const float* __restrict grow = gbase + static_cast<size_t>(i) * dim;
+          // d_probs = d_ctx * vh^T; d_vh += probs^T * d_ctx.
           for (int j = 0; j < len; ++j) {
             const float* __restrict vrow =
                 vv + static_cast<size_t>(off + j) * dim + col0;
@@ -1369,100 +1519,104 @@ void AttentionBackwardPackedT(const float* __restrict qv,
               for (int c = 0; c < dh; ++c) vgrow[c] += p * grow[c];
             }
           }
-        } else {
-          const float* __restrict vtv = vt.data();
-          const auto zero = V::Broadcast(0.0f);
-          int j = 0;
-          for (; j + L <= len; j += L) {
-            auto a0 = zero;
-            for (int c = 0; c < dh; ++c) {
-              a0 = V::Add(a0, V::Mul(V::Broadcast(grow[c]),
-                                     V::Load(vtv + static_cast<size_t>(c) * len +
-                                             j)));
-            }
-            V::Store(dprow + j, a0);
-          }
-          for (; j < len; ++j) {
-            float dp = 0;
-            for (int c = 0; c < dh; ++c) {
-              dp += grow[c] * vtv[static_cast<size_t>(c) * len + j];
-            }
-            dprow[j] = dp;
-          }
-          if (vg) {
-            for (j = 0; j < len; ++j) {
-              float* __restrict vgrow =
-                  vg + static_cast<size_t>(off + j) * dim + col0;
-              const auto vp = V::Broadcast(prow[j]);
-              int c = 0;
-              for (; c < dhv; c += L) {
-                V::Store(vgrow + c, V::Add(V::Load(vgrow + c),
-                                           V::Mul(vp, V::Load(grow + c))));
-              }
-              for (; c < dh; ++c) vgrow[c] += prow[j] * grow[c];
-            }
-          }
-        }
-        // Softmax backward, then the post-softmax Scale folds into the
-        // score gradient: d_scores = scale * p * (dp - sum(p * dp)).
-        float dot = 0;
-        for (int j = 0; j < len; ++j) dot += prow[j] * dprow[j];
-        if constexpr (L == 1) {
+          // Softmax backward, then the post-softmax Scale folds into the
+          // score gradient: d_scores = scale * p * (dp - sum(p * dp)).
+          float dot = 0;
+          for (int j = 0; j < len; ++j) dot += prow[j] * dprow[j];
           for (int j = 0; j < len; ++j) {
             dprow[j] = scale * prow[j] * (dprow[j] - dot);
           }
-        } else {
-          const auto vscale = V::Broadcast(scale);
+          // d_qh += d_scores * kh; d_kh += d_scores^T * qh.
+          const float* __restrict qrow =
+              qv + static_cast<size_t>(off + i) * dim + col0;
+          float* __restrict qgrow =
+              qg ? qg + static_cast<size_t>(off + i) * dim + col0 : nullptr;
+          for (int j = 0; j < len; ++j) {
+            const float d = dprow[j];
+            const float* __restrict krow =
+                kv + static_cast<size_t>(off + j) * dim + col0;
+            if (qgrow) {
+              for (int c = 0; c < dh; ++c) qgrow[c] += d * krow[c];
+            }
+            if (kg) {
+              float* __restrict kgrow =
+                  kg + static_cast<size_t>(off + j) * dim + col0;
+              for (int c = 0; c < dh; ++c) kgrow[c] += d * qrow[c];
+            }
+          }
+        }
+      } else {
+        // Transposed value pack [dh][lp], zero in the padding lanes.
+        for (int c = 0; c < dh; ++c) {
+          float* __restrict vtrow = vt + static_cast<size_t>(c) * lp;
+          for (int j = 0; j < len; ++j) {
+            vtrow[j] = vv[static_cast<size_t>(off + j) * dim + col0 + c];
+          }
+          for (int j = len; j < lp; ++j) vtrow[j] = 0.0f;
+        }
+        // --- d_probs[i, j] = sum_c g[i, c] * v[j, c]: each lane's dot
+        // starts from the zeroed scratch and accumulates ascending c. ----
+        std::fill_n(ds, dsize, 0.0f);
+        AddProduct<V>(gbase, dim, 1, vt, lp, ds, lp, len, dh, lp);
+        // --- Softmax backward, d_scores = scale * p * (dp - sum(p * dp)),
+        // in place over d_probs. The row dots stay scalar ascending j;
+        // four rows run as independent chains. Padding lanes are never
+        // read past this point. -----------------------------------------
+        const int lenv = (len / L) * L;
+        const auto vscale = V::Broadcast(scale);
+        int i = 0;
+        auto scores = [&](int row, float dot) {
+          const float* __restrict prow =
+              pblock + static_cast<size_t>(row) * len;
+          float* __restrict dprow = ds + static_cast<size_t>(row) * lp;
           const auto vdot = V::Broadcast(dot);
           int j = 0;
-          for (; j + L <= len; j += L) {
+          for (; j < lenv; j += L) {
             V::Store(dprow + j,
                      V::Mul(V::Mul(vscale, V::Load(prow + j)),
                             V::Sub(V::Load(dprow + j), vdot)));
           }
-          for (; j < len; ++j) {
-            dprow[j] = scale * prow[j] * (dprow[j] - dot);
+          for (; j < len; ++j) dprow[j] = scale * prow[j] * (dprow[j] - dot);
+        };
+        for (; i + kQueryTile <= len; i += kQueryTile) {
+          const float* __restrict p0 = pblock + static_cast<size_t>(i) * len;
+          const float* __restrict d0 = ds + static_cast<size_t>(i) * lp;
+          float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+          for (int j = 0; j < len; ++j) {
+            s0 += p0[j] * d0[j];
+            s1 += p0[len + j] * d0[lp + j];
+            s2 += p0[2 * len + j] * d0[2 * lp + j];
+            s3 += p0[3 * len + j] * d0[3 * lp + j];
           }
+          scores(i, s0);
+          scores(i + 1, s1);
+          scores(i + 2, s2);
+          scores(i + 3, s3);
         }
-        // d_qh += d_scores * kh; d_kh += d_scores^T * qh.
-        const float* __restrict qrow =
-            qv + static_cast<size_t>(off + i) * dim + col0;
-        float* __restrict qgrow =
-            qg ? qg + static_cast<size_t>(off + i) * dim + col0 : nullptr;
-        for (int j = 0; j < len; ++j) {
-          const float ds = dprow[j];
-          const float* __restrict krow =
-              kv + static_cast<size_t>(off + j) * dim + col0;
-          if constexpr (L == 1) {
-            if (qgrow) {
-              for (int c = 0; c < dh; ++c) qgrow[c] += ds * krow[c];
-            }
-            if (kg) {
-              float* __restrict kgrow =
-                  kg + static_cast<size_t>(off + j) * dim + col0;
-              for (int c = 0; c < dh; ++c) kgrow[c] += ds * qrow[c];
-            }
-          } else {
-            const auto vds = V::Broadcast(ds);
-            if (qgrow) {
-              int c = 0;
-              for (; c < dhv; c += L) {
-                V::Store(qgrow + c, V::Add(V::Load(qgrow + c),
-                                           V::Mul(vds, V::Load(krow + c))));
-              }
-              for (; c < dh; ++c) qgrow[c] += ds * krow[c];
-            }
-            if (kg) {
-              float* __restrict kgrow =
-                  kg + static_cast<size_t>(off + j) * dim + col0;
-              int c = 0;
-              for (; c < dhv; c += L) {
-                V::Store(kgrow + c, V::Add(V::Load(kgrow + c),
-                                           V::Mul(vds, V::Load(qrow + c))));
-              }
-              for (; c < dh; ++c) kgrow[c] += ds * qrow[c];
-            }
-          }
+        for (; i < len; ++i) {
+          const float* __restrict prow = pblock + static_cast<size_t>(i) * len;
+          const float* __restrict dprow = ds + static_cast<size_t>(i) * lp;
+          float dot = 0;
+          for (int j = 0; j < len; ++j) dot += prow[j] * dprow[j];
+          scores(i, dot);
+        }
+        // --- Gradient products -----------------------------------------
+        const size_t stride = static_cast<size_t>(dim);
+        const size_t base = static_cast<size_t>(off) * dim + col0;
+        // vg[j, c] += sum_i p[i, j] * g[i, c]
+        if (vg) {
+          AddProduct<V>(pblock, 1, len, gbase, stride, vg + base, stride, len,
+                        len, dh);
+        }
+        // qg[i, c] += sum_j ds[i, j] * k[j, c]
+        if (qg) {
+          AddProduct<V>(ds, lp, 1, kv + base, stride, qg + base, stride, len,
+                        len, dh);
+        }
+        // kg[j, c] += sum_i ds[i, j] * q[i, c]
+        if (kg) {
+          AddProduct<V>(ds, 1, lp, qv + base, stride, kg + base, stride, len,
+                        len, dh);
         }
       }
     }

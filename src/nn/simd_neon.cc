@@ -5,60 +5,13 @@
 
 #if defined(QPE_HAVE_NEON)
 
-#include <arm_neon.h>
-
 #include "nn/simd.h"
 #include "nn/simd_kernels_inl.h"
+#include "nn/simd_ops.h"
 
 namespace qpe::nn::simd {
 
 namespace {
-
-struct NeonOps {
-  static constexpr int kLanes = 4;
-  using Vec = float32x4_t;
-  static Vec Load(const float* p) { return vld1q_f32(p); }
-  static void Store(float* p, Vec v) { vst1q_f32(p, v); }
-  static Vec Broadcast(float x) { return vdupq_n_f32(x); }
-  static Vec Add(Vec a, Vec b) { return vaddq_f32(a, b); }
-  static Vec Sub(Vec a, Vec b) { return vsubq_f32(a, b); }
-  static Vec Mul(Vec a, Vec b) { return vmulq_f32(a, b); }
-  static Vec Div(Vec a, Vec b) { return vdivq_f32(a, b); }
-  static Vec Max(Vec a, Vec b) { return vmaxq_f32(a, b); }
-  // Correctly rounded per IEEE 754, same bits as scalar sqrtf per lane.
-  static Vec Sqrt(Vec v) { return vsqrtq_f32(v); }
-  static float HMax(Vec v) { return vmaxvq_f32(v); }
-  // All-ones mask where v > 0 (NaN lanes gate off), and a bitwise AND —
-  // the pair turns BiasActBackwardT's branch into a mask.
-  static Vec GtZero(Vec v) {
-    return vreinterpretq_f32_u32(vcgtq_f32(v, vdupq_n_f32(0.0f)));
-  }
-  static Vec And(Vec a, Vec b) {
-    return vreinterpretq_f32_u32(
-        vandq_u32(vreinterpretq_u32_f32(a), vreinterpretq_u32_f32(b)));
-  }
-  // 4-lane expf, same Cephes-style reduction + degree-5 polynomial as the
-  // AVX2 table (~2 ulp). Allowed to diverge from the scalar std::exp
-  // reference under the epsilon contract; see simd_kernels_inl.h.
-  static Vec Exp(Vec x) {
-    x = vminq_f32(vmaxq_f32(x, vdupq_n_f32(-87.3365478515625f)),
-                  vdupq_n_f32(88.3762626647949f));
-    const Vec n = vrndnq_f32(vmulq_f32(x, vdupq_n_f32(1.44269504088896341f)));
-    Vec r = vsubq_f32(x, vmulq_f32(n, vdupq_n_f32(0.693359375f)));
-    r = vsubq_f32(r, vmulq_f32(n, vdupq_n_f32(-2.12194440e-4f)));
-    Vec p = vdupq_n_f32(1.9875691500e-4f);
-    p = vaddq_f32(vmulq_f32(p, r), vdupq_n_f32(1.3981999507e-3f));
-    p = vaddq_f32(vmulq_f32(p, r), vdupq_n_f32(8.3334519073e-3f));
-    p = vaddq_f32(vmulq_f32(p, r), vdupq_n_f32(4.1665795894e-2f));
-    p = vaddq_f32(vmulq_f32(p, r), vdupq_n_f32(1.6666665459e-1f));
-    p = vaddq_f32(vmulq_f32(p, r), vdupq_n_f32(5.0000001201e-1f));
-    p = vaddq_f32(vmulq_f32(vmulq_f32(p, r), r),
-                  vaddq_f32(r, vdupq_n_f32(1.0f)));
-    const int32x4_t pow2 =
-        vshlq_n_s32(vaddq_s32(vcvtnq_s32_f32(n), vdupq_n_s32(127)), 23);
-    return vmulq_f32(p, vreinterpretq_f32_s32(pow2));
-  }
-};
 
 void NeonMatMulForwardRange(const float* a, const float* b, float* out, int i0,
                             int i1, int k, int n) {
@@ -82,10 +35,10 @@ void NeonSoftmaxRowsMasked(const float* a, float* out, const int* valid,
 
 void NeonAttentionForwardPacked(const float* q, const float* k, const float* v,
                                 float* out, const int* offsets,
-                                const int* lengths, int num_seqs,
-                                int num_heads, int dim, float scale) {
+                                const int* lengths, int num_seqs, int num_heads,
+                                int dim, float scale, float* probs_out) {
   AttentionForwardPackedT<NeonOps>(q, k, v, out, offsets, lengths, num_seqs,
-                                   num_heads, dim, scale);
+                                   num_heads, dim, scale, probs_out);
 }
 
 void NeonEmbedGatherAdd(const float* e1, const float* e2, const float* e3,
@@ -100,10 +53,11 @@ void NeonAttentionForwardBlocked(const float* q, const float* kbt,
                                  const float* vb, float* out,
                                  const int* offsets, const int* lengths,
                                  int num_seqs, int num_heads, int total_rows,
-                                 int dim, float scale, float* probs) {
-  AttentionForwardBlockedT<NeonOps>(q, kbt, vb, out, offsets, lengths,
-                                    num_seqs, num_heads, total_rows, dim,
-                                    scale, probs);
+                                 int dim, float scale, float* probs,
+                                 int keep_probs) {
+  AttentionForwardBlockedT<NeonOps>(q, kbt, vb, out, offsets, lengths, num_seqs,
+                                    num_heads, total_rows, dim, scale, probs,
+                                    keep_probs);
 }
 
 // Packed-tile int8 GEMM: one widened activation block feeds four
@@ -238,11 +192,12 @@ void NeonSoftmaxRowsMaskedBackward(const float* yv, const float* gy,
 }
 
 void NeonAttentionBackwardPacked(const float* qv, const float* kv,
-                                 const float* vv, const float* og, float* qg,
-                                 float* kg, float* vg, const int* offsets,
+                                 const float* vv, const float* og,
+                                 const float* probs, float* qg, float* kg,
+                                 float* vg, const int* offsets,
                                  const int* lengths, int num_seqs,
                                  int num_heads, int dim, float scale) {
-  AttentionBackwardPackedT<NeonOps>(qv, kv, vv, og, qg, kg, vg, offsets,
+  AttentionBackwardPackedT<NeonOps>(qv, kv, vv, og, probs, qg, kg, vg, offsets,
                                     lengths, num_seqs, num_heads, dim, scale);
 }
 

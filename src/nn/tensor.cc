@@ -1149,28 +1149,38 @@ Tensor MultiHeadAttentionPacked(const Tensor& q, const Tensor& k,
 #endif
   // The fused forward (kt pack, scores, softmax, context) lives in the SIMD
   // dispatch table; see AttentionForwardPackedT in simd_kernels_inl.h for
-  // the kernel body and its bit-exactness notes.
+  // the kernel body and its bit-exactness notes. A graph that trains keeps
+  // the softmax probabilities ([seq][head][len][len]) for the backward.
+  std::vector<float> probs;
+  if (out.requires_grad()) {
+    size_t count = 0;
+    for (const int len : lengths) count += static_cast<size_t>(len) * len;
+    probs.resize(count * num_heads);
+  }
   simd::K().attention_forward_packed(
       q.impl_->value.data(), k.impl_->value.data(), v.impl_->value.data(),
       out.impl_->value.data(), offsets.data(), lengths.data(),
-      static_cast<int>(lengths.size()), num_heads, dim, scale);
+      static_cast<int>(lengths.size()), num_heads, dim, scale,
+      probs.empty() ? nullptr : probs.data());
   if (out.requires_grad()) {
     Tensor::Impl* const qi = q.impl_.get();
     Tensor::Impl* const ki = k.impl_.get();
     Tensor::Impl* const vi = v.impl_.get();
     Tensor::Impl* const oi = out.impl_.get();  // raw: no self-cycle
-    out.impl_->backward_fn = [qi, ki, vi, oi, offsets, lengths, num_heads,
-                              scale, dim]() {
-      // Probabilities are recomputed inside the kernel (cheaper than
-      // caching [len, len] per sequence per head across the graph's
-      // lifetime); see AttentionBackwardPackedT in simd_kernels_inl.h.
+    out.impl_->backward_fn = [qi, ki, vi, oi, offsets, lengths,
+                              probs = std::move(probs), num_heads, scale,
+                              dim]() {
+      // The backward reads the forward's probabilities instead of
+      // recomputing them; see AttentionBackwardPackedT in
+      // simd_kernels_inl.h.
       float* qg = qi->requires_grad ? GradPtr(qi) : nullptr;
       float* kg = ki->requires_grad ? GradPtr(ki) : nullptr;
       float* vg = vi->requires_grad ? GradPtr(vi) : nullptr;
       simd::K().attention_backward_packed(
           qi->value.data(), ki->value.data(), vi->value.data(),
-          oi->grad.data(), qg, kg, vg, offsets.data(), lengths.data(),
-          static_cast<int>(lengths.size()), num_heads, dim, scale);
+          oi->grad.data(), probs.data(), qg, kg, vg, offsets.data(),
+          lengths.data(), static_cast<int>(lengths.size()), num_heads, dim,
+          scale);
     };
   }
   return out;

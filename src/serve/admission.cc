@@ -20,25 +20,29 @@ uint32_t RetrySecondsToMs(double seconds) {
 }  // namespace
 
 AdmissionController::AdmissionController(const Config& config)
-    : config_(config) {}
+    : config_(config), overflow_("", config.default_tenant) {}
 
-TenantState* AdmissionController::TenantFor(const std::string& name) {
+AdmissionController::TenantSlot* AdmissionController::SlotFor(
+    const std::string& name) {
   auto it = tenants_.find(name);
-  if (it == tenants_.end()) {
-    const auto cfg_it = config_.tenants.find(name);
-    const TenantConfig& cfg = cfg_it != config_.tenants.end()
-                                  ? cfg_it->second
-                                  : config_.default_tenant;
-    it = tenants_.emplace(name, std::make_unique<TenantState>(name, cfg))
-             .first;
+  if (it != tenants_.end()) return it->second.get();
+  const auto cfg_it = config_.tenants.find(name);
+  if (cfg_it == config_.tenants.end()) {
+    if (unknown_tracked_ >= kMaxTrackedTenants) return &overflow_;
+    ++unknown_tracked_;
   }
-  return it->second.get();
+  const TenantConfig& cfg = cfg_it != config_.tenants.end()
+                                ? cfg_it->second
+                                : config_.default_tenant;
+  return tenants_.emplace(name, std::make_unique<TenantSlot>(name, cfg))
+      .first->second.get();
 }
 
 AdmissionController::Result AdmissionController::Offer(QueuedRequest request,
                                                        double now) {
   std::lock_guard<std::mutex> lock(mu_);
-  TenantState* tenant = TenantFor(request.tenant);
+  TenantSlot* slot = SlotFor(request.tenant);
+  TenantState* tenant = &slot->state;
   if (draining_ || aborted_) {
     ++tenant->counters.shed_draining;
     return {Decision::kShedDraining, 0};
@@ -52,7 +56,7 @@ AdmissionController::Result AdmissionController::Offer(QueuedRequest request,
     ++tenant->counters.shed_quota;
     return {Decision::kShedQuota, RetrySecondsToMs(retry_after_seconds)};
   }
-  std::deque<QueuedRequest>& queue = queues_[request.tenant];
+  std::deque<QueuedRequest>& queue = slot->queue;
   if (static_cast<int>(queue.size()) >= tenant->config.max_queued_requests) {
     ++tenant->counters.shed_queue_full;
     return {Decision::kShedQueueFull, config_.queue_full_retry_ms};
@@ -72,48 +76,39 @@ AdmissionController::Result AdmissionController::Offer(QueuedRequest request,
   return {Decision::kAdmitted, 0};
 }
 
-std::optional<QueuedRequest> AdmissionController::PopBlocking() {
-  std::unique_lock<std::mutex> lock(mu_);
-  work_cv_.wait(lock, [this] {
-    return total_queued_ > 0 || draining_ || aborted_;
-  });
-  if (total_queued_ == 0) return std::nullopt;  // draining/aborted and empty
-  // Serve the tenant whose head request finishes earliest in virtual time.
-  std::deque<QueuedRequest>* best = nullptr;
-  for (auto& [name, queue] : queues_) {
-    if (queue.empty()) continue;
-    if (best == nullptr ||
-        queue.front().virtual_finish < best->front().virtual_finish) {
-      best = &queue;
+std::optional<QueuedRequest> AdmissionController::PopLocked() {
+  if (total_queued_ == 0) return std::nullopt;
+  // Serve the tenant whose head request finishes earliest in virtual time
+  // (ties: tracked tenants in name order, then the overflow tenant).
+  TenantSlot* best = nullptr;
+  auto consider = [&best](TenantSlot* slot) {
+    if (slot->queue.empty()) return;
+    if (best == nullptr || slot->queue.front().virtual_finish <
+                               best->queue.front().virtual_finish) {
+      best = slot;
     }
-  }
-  QueuedRequest request = std::move(best->front());
-  best->pop_front();
-  TenantFor(request.tenant)->counters.queue_depth =
-      static_cast<int>(best->size());
+  };
+  for (auto& [name, slot] : tenants_) consider(slot.get());
+  consider(&overflow_);
+  QueuedRequest request = std::move(best->queue.front());
+  best->queue.pop_front();
+  best->state.counters.queue_depth = static_cast<int>(best->queue.size());
   --total_queued_;
   virtual_time_ = std::max(virtual_time_, request.virtual_start);
   return request;
 }
 
-std::optional<QueuedRequest> AdmissionController::TryPop() {
+std::optional<QueuedRequest> AdmissionController::PopBlocking() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (total_queued_ == 0) return std::nullopt;
-  std::deque<QueuedRequest>* best = nullptr;
-  for (auto& [name, queue] : queues_) {
-    if (queue.empty()) continue;
-    if (best == nullptr ||
-        queue.front().virtual_finish < best->front().virtual_finish) {
-      best = &queue;
-    }
-  }
-  QueuedRequest request = std::move(best->front());
-  best->pop_front();
-  TenantFor(request.tenant)->counters.queue_depth =
-      static_cast<int>(best->size());
-  --total_queued_;
-  virtual_time_ = std::max(virtual_time_, request.virtual_start);
-  return request;
+  work_cv_.wait(lock, [this] {
+    return total_queued_ > 0 || draining_ || aborted_;
+  });
+  return PopLocked();  // nullopt: draining/aborted and empty
+}
+
+std::optional<QueuedRequest> AdmissionController::TryPop() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return PopLocked();
 }
 
 void AdmissionController::SetDraining() {
@@ -131,13 +126,15 @@ std::vector<QueuedRequest> AdmissionController::Abort() {
   std::lock_guard<std::mutex> lock(mu_);
   aborted_ = true;
   std::vector<QueuedRequest> remaining;
-  for (auto& [name, queue] : queues_) {
-    TenantFor(name)->counters.queue_depth = 0;
-    while (!queue.empty()) {
-      remaining.push_back(std::move(queue.front()));
-      queue.pop_front();
+  auto take = [&remaining](TenantSlot* slot) {
+    slot->state.counters.queue_depth = 0;
+    for (QueuedRequest& request : slot->queue) {
+      remaining.push_back(std::move(request));
     }
-  }
+    slot->queue.clear();
+  };
+  for (auto& [name, slot] : tenants_) take(slot.get());
+  take(&overflow_);
   total_queued_ = 0;
   work_cv_.notify_all();
   return remaining;
@@ -145,12 +142,12 @@ std::vector<QueuedRequest> AdmissionController::Abort() {
 
 void AdmissionController::RecordCompleted(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++TenantFor(tenant)->counters.completed;
+  ++SlotFor(tenant)->state.counters.completed;
 }
 
 void AdmissionController::RecordDeadlineMissed(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++TenantFor(tenant)->counters.deadline_missed;
+  ++SlotFor(tenant)->state.counters.deadline_missed;
 }
 
 std::vector<std::pair<std::string, TenantCounters>>
@@ -158,10 +155,15 @@ AdmissionController::CountersSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, TenantCounters>> out;
   out.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) {
-    out.emplace_back(name, tenant->counters);
+  for (const auto& [name, slot] : tenants_) {
+    out.emplace_back(name, slot->state.counters);
   }
   return out;
+}
+
+TenantCounters AdmissionController::OverflowCounters() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return overflow_.state.counters;
 }
 
 size_t AdmissionController::TotalQueued() const {

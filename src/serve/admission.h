@@ -48,8 +48,19 @@ namespace qpe::serve {
 // regardless of how bursty each one's arrivals are, and an idle tenant's
 // unused share is redistributed (its next start tag snaps up to V).
 //
+// Tenant state is bounded: tenants named in Config::tenants are always
+// tracked, and up to kMaxTrackedTenants other names each get their own
+// state on first sight. Past that cap, every further unknown name shares
+// one overflow tenant (default config: one token bucket, one bounded
+// queue), so a client rotating names can neither grow the table without
+// limit nor escape the default quota.
+//
 // Thread safety: every method is safe to call concurrently; one mutex
 // guards tenants, queues, and virtual time.
+
+// Unknown tenant names tracked individually before the overflow tenant
+// takes over.
+inline constexpr size_t kMaxTrackedTenants = 1024;
 
 struct QueuedRequest {
   std::string tenant;
@@ -93,7 +104,7 @@ class AdmissionController {
   // Admits `request` into its tenant's queue or sheds it. `now` is
   // monotonic seconds (the daemon's clock; tests drive it directly).
   // Tenants are auto-registered on first sight with the default config
-  // unless an override is present.
+  // unless an override is present (within kMaxTrackedTenants; see above).
   Result Offer(QueuedRequest request, double now);
 
   // Next request under the WFQ discipline. Blocks until work arrives;
@@ -115,19 +126,32 @@ class AdmissionController {
   void RecordCompleted(const std::string& tenant);
   void RecordDeadlineMissed(const std::string& tenant);
 
-  // Consistent snapshot of every tenant's counters (one lock, no tearing).
+  // Consistent snapshot of every tracked tenant's counters (one lock, no
+  // tearing). The overflow tenant is reported by OverflowCounters.
   std::vector<std::pair<std::string, TenantCounters>> CountersSnapshot() const;
+  // Counters of the overflow tenant shared by names past the cap.
+  TenantCounters OverflowCounters() const;
 
   size_t TotalQueued() const;
 
  private:
-  TenantState* TenantFor(const std::string& name);  // requires mu_ held
+  // A tenant's admission state and its bounded FIFO.
+  struct TenantSlot {
+    TenantSlot(std::string name, const TenantConfig& cfg)
+        : state(std::move(name), cfg) {}
+    TenantState state;
+    std::deque<QueuedRequest> queue;
+  };
+
+  TenantSlot* SlotFor(const std::string& name);  // requires mu_ held
+  std::optional<QueuedRequest> PopLocked();      // requires mu_ held
 
   Config config_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::map<std::string, std::unique_ptr<TenantState>> tenants_;
-  std::map<std::string, std::deque<QueuedRequest>> queues_;
+  std::map<std::string, std::unique_ptr<TenantSlot>> tenants_;
+  size_t unknown_tracked_ = 0;  // tracked names not in config_.tenants
+  TenantSlot overflow_;
   double virtual_time_ = 0;
   size_t total_queued_ = 0;
   bool draining_ = false;

@@ -711,6 +711,7 @@ DaemonStats ServingDaemon::GetStats() const {
   stats.snapshots_written = snapshots_written_.load();
   stats.service = service_->GetStats();
   stats.tenants = admission_->CountersSnapshot();
+  stats.tenant_overflow = admission_->OverflowCounters();
   {
     std::shared_lock<std::shared_mutex> model_lock(model_mu_);
     stats.current_fingerprint = config_.model_fingerprint;
@@ -806,16 +807,25 @@ std::string ServingDaemon::StatsJson() const {
      << "    \"cache_misses\": " << stats.service.cache.misses << ",\n"
      << "    \"cache_evictions\": " << stats.service.cache.evictions << ",\n"
      << "    \"cache_entries\": " << stats.service.cache.entries << ",\n"
-     << "    \"cache_hit_rate\": " << stats.service.cache.HitRate() << "\n"
-     << "  },\n"
-     << "  \"tenants\": {";
-  bool first = true;
-  for (const auto& [name, counters] : stats.tenants) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    ";
-    WriteJsonString(os, name);
-    os << ": {"
+     << "    \"cache_hit_rate\": " << stats.service.cache.HitRate() << ",\n"
+     << "    \"peak_rss_bytes\": " << stats.service.peak_rss_bytes << ",\n"
+     << "    \"packed_growth_events\": " << stats.service.packed_growth_events
+     << ",\n"
+     << "    \"simd_level\": ";
+  WriteJsonString(os, stats.service.simd_level);
+  const nn::MemoryStats& mem = stats.service.memory;
+  os << ",\n"
+     << "    \"memory\": {"
+     << "\"bytes_requested\": " << mem.bytes_requested
+     << ", \"arena_hits\": " << mem.arena_hits
+     << ", \"arena_misses\": " << mem.arena_misses
+     << ", \"recycled_buffers\": " << mem.recycled_buffers
+     << ", \"released_buffers\": " << mem.released_buffers
+     << ", \"epochs\": " << mem.epochs
+     << ", \"peak_arena_bytes\": " << mem.peak_arena_bytes << "}\n"
+     << "  },\n";
+  auto write_counters = [&os](const TenantCounters& counters) {
+    os << "{"
        << "\"admitted\": " << counters.admitted
        << ", \"completed\": " << counters.completed
        << ", \"plans\": " << counters.plans
@@ -825,6 +835,18 @@ std::string ServingDaemon::StatsJson() const {
        << ", \"shed_deadline\": " << counters.shed_deadline
        << ", \"deadline_missed\": " << counters.deadline_missed
        << ", \"queue_depth\": " << counters.queue_depth << "}";
+  };
+  os << "  \"tenant_overflow\": ";
+  write_counters(stats.tenant_overflow);
+  os << ",\n  \"tenants\": {";
+  bool first = true;
+  for (const auto& [name, counters] : stats.tenants) {
+    os << (first ? "\n" : ",\n");
+    first = false;
+    os << "    ";
+    WriteJsonString(os, name);
+    os << ": ";
+    write_counters(counters);
   }
   os << (first ? "" : "\n  ") << "}\n}\n";
   return os.str();

@@ -116,6 +116,8 @@ struct DaemonStats {
   uint64_t snapshots_written = 0;
   ServiceStats service;
   std::vector<std::pair<std::string, TenantCounters>> tenants;
+  // The tenant shared by names past kMaxTrackedTenants (serve/admission.h).
+  TenantCounters tenant_overflow;
   // Drift sentinel state (drift fields valid iff drift_enabled).
   bool drift_enabled = false;
   drift::DriftStatusSnapshot drift;

@@ -368,16 +368,20 @@ class ExactSearch {
     nl_ = prob.nl;
     slot_.assign(nl_, 0);
     used_.assign(prob.stride, 0);
-    // Upper bound per left node: best instance match + in-degree (every
-    // incident edge could match at most once).
+    // Upper bound per left node: best instance match + the edges Dfs()
+    // counts at it (each left edge can match at most once).
     ub_suffix_.assign(nl_ + 1, 0);
     for (int i = nl_ - 1; i >= 0; --i) {
       const uint8_t* inst = prob.Inst(i);
       const int best_inst = *std::max_element(inst, inst + prob.stride);
-      // Each left edge can match at most once; we attribute the edge to its
-      // child node (the later preorder index), matching Dfs()'s accounting.
-      const int incoming = prob.parent_off[i + 1] - prob.parent_off[i];
-      ub_suffix_[i] = ub_suffix_[i + 1] + best_inst + incoming;
+      int closing = 0;
+      for (int k = prob.parent_off[i]; k < prob.parent_off[i + 1]; ++k) {
+        closing += prob.parent_idx[k] <= i;
+      }
+      for (int k = prob.child_off[i]; k < prob.child_off[i + 1]; ++k) {
+        closing += prob.child_idx[k] < i;
+      }
+      ub_suffix_[i] = ub_suffix_[i + 1] + best_inst + closing;
     }
   }
 
@@ -396,13 +400,23 @@ class ExactSearch {
     }
     for (int s = 0; s < prob_.stride; ++s) {
       if (used_[s]) continue;
-      // Partial score gain: instance matches plus edges to already-assigned
-      // neighbours (parents of i are always earlier in preorder; children are
-      // later, counted when the child is assigned).
+      // Partial score gain: instance matches plus every left edge whose
+      // later endpoint is i — each edge is counted once, when both of its
+      // endpoints are assigned, whatever the node order (a plan need not
+      // be in preorder). A self-loop counts once, under its parent entry,
+      // as the total score counts it; duplicate edges count per copy.
       int gain = prob_.Inst(i)[s];
       for (int k = prob_.parent_off[i]; k < prob_.parent_off[i + 1]; ++k) {
         const int p = prob_.parent_idx[k];
-        if (p < i) gain += prob_.RightEdge(slot_[p], s);
+        if (p < i) {
+          gain += prob_.RightEdge(slot_[p], s);
+        } else if (p == i) {
+          gain += prob_.RightEdge(s, s);
+        }
+      }
+      for (int k = prob_.child_off[i]; k < prob_.child_off[i + 1]; ++k) {
+        const int c = prob_.child_idx[k];
+        if (c < i) gain += prob_.RightEdge(s, slot_[c]);
       }
       slot_[i] = s;
       used_[s] = s > 0;

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -28,6 +29,7 @@
 
 #include "data/plan_corpus.h"
 #include "encoder/structure_encoder.h"
+#include "nn/simd.h"
 #include "gtest/gtest.h"
 #include "plan/serialize.h"
 #include "serve/admission.h"
@@ -561,6 +563,56 @@ TEST(AdmissionTest, AbortReturnsQueuedWorkAndWakesConsumers) {
   EXPECT_FALSE(admission.PopBlocking().has_value());
 }
 
+TEST(AdmissionTest, TenantNamesPastTheCapShareOneOverflowTenant) {
+  // A client rotating through 100k tenant names: the first
+  // kMaxTrackedTenants get their own state, every later name lands in the
+  // one overflow tenant, whose single bucket (no refill, burst 8) caps what
+  // all of them together can get admitted.
+  AdmissionController::Config config;
+  config.default_tenant.rate_plans_per_sec = 0;
+  config.default_tenant.burst_plans = 8;
+  config.tenants["vip"] = TenantConfig();
+  AdmissionController admission(config);
+  constexpr int kNames = 100000;
+  int tracked_admitted = 0, overflow_admitted = 0;
+  for (int i = 0; i < kNames; ++i) {
+    const auto result =
+        admission.Offer(MakeRequest("rotating-" + std::to_string(i), 1), 0.0);
+    const bool admitted =
+        result.decision == AdmissionController::Decision::kAdmitted;
+    (static_cast<size_t>(i) < serve::kMaxTrackedTenants ? tracked_admitted
+                                                        : overflow_admitted) +=
+        admitted;
+  }
+  EXPECT_EQ(tracked_admitted, static_cast<int>(serve::kMaxTrackedTenants));
+  EXPECT_EQ(overflow_admitted, 8);
+  EXPECT_EQ(admission.CountersSnapshot().size(), serve::kMaxTrackedTenants);
+  const serve::TenantCounters overflow = admission.OverflowCounters();
+  EXPECT_EQ(overflow.admitted, 8u);
+  EXPECT_EQ(overflow.shed_quota,
+            static_cast<uint64_t>(kNames) - serve::kMaxTrackedTenants - 8);
+  EXPECT_EQ(overflow.queue_depth, 8);
+  // A name seen again resolves to the same state: tracked names keep their
+  // own bucket, overflow names stay in the shared one.
+  EXPECT_EQ(admission.Offer(MakeRequest("rotating-0", 1), 0.0).decision,
+            AdmissionController::Decision::kAdmitted);
+  EXPECT_EQ(admission.Offer(MakeRequest("rotating-99999", 1), 0.0).decision,
+            AdmissionController::Decision::kShedQuota);
+  // Configured tenants are tracked whatever the table holds.
+  EXPECT_EQ(admission.Offer(MakeRequest("vip", 1), 0.0).decision,
+            AdmissionController::Decision::kAdmitted);
+  EXPECT_EQ(admission.CountersSnapshot().size(),
+            serve::kMaxTrackedTenants + 1);
+  // Overflow work is served and accounted like any tenant's.
+  admission.RecordCompleted("rotating-50000");
+  EXPECT_EQ(admission.OverflowCounters().completed, 1u);
+  EXPECT_EQ(admission.TotalQueued(), serve::kMaxTrackedTenants + 8 + 2);
+  size_t popped = 0;
+  while (admission.TryPop().has_value()) ++popped;
+  EXPECT_EQ(popped, serve::kMaxTrackedTenants + 8 + 2);
+  EXPECT_EQ(admission.OverflowCounters().queue_depth, 0);
+}
+
 // --- Cache snapshot/restore and consistent stats ---------------------------
 
 TEST(CacheSnapshotTest, RestoreReproducesEntriesAndLruOrder) {
@@ -654,8 +706,13 @@ TEST(CacheStatsTest, SnapshotIsWellFormedUnderConcurrentInserts) {
   serve::EmbeddingCache cache(config);
   constexpr uint32_t kDim = 8;
 
+  // The writer starts once the reader is about to snapshot, and the reader
+  // snapshots at least once: otherwise a writer scheduled first can finish
+  // every insert before the reader's first check and no snapshot is taken.
+  std::atomic<bool> reading{false};
   std::atomic<bool> done{false};
-  std::thread writer([&cache, &done] {
+  std::thread writer([&cache, &reading, &done] {
+    while (!reading.load()) std::this_thread::yield();
     for (uint64_t i = 0; i < 20000; ++i) {
       std::vector<float> row(kDim, static_cast<float>(i));
       cache.Insert(i, std::move(row));
@@ -664,7 +721,8 @@ TEST(CacheStatsTest, SnapshotIsWellFormedUnderConcurrentInserts) {
   });
   bool malformed = false;
   int snapshots = 0;
-  while (!done.load() && !malformed) {
+  reading.store(true);
+  do {
     const auto snapshot = cache.Snapshot();
     ++snapshots;
     if (snapshot.size() > config.capacity) malformed = true;
@@ -686,7 +744,7 @@ TEST(CacheStatsTest, SnapshotIsWellFormedUnderConcurrentInserts) {
     if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
       malformed = true;
     }
-  }
+  } while (!done.load() && !malformed);
   writer.join();
   EXPECT_FALSE(malformed) << "Snapshot observed a torn or duplicated entry";
   EXPECT_GT(snapshots, 0);
@@ -867,6 +925,30 @@ TEST_F(DaemonTest, PingEncodeStatsEndToEnd) {
   ASSERT_TRUE(stats_json.ok()) << stats_json.status().ToString();
   EXPECT_NE(stats_json->find("\"service\""), std::string::npos);
   EXPECT_NE(stats_json->find("\"default\""), std::string::npos);
+  // Memory, workspace-growth and kernel-level telemetry reach the wire.
+  auto number = [&](const std::string& key) -> double {
+    const size_t at = stats_json->find("\"" + key + "\": ");
+    if (at == std::string::npos) {
+      ADD_FAILURE() << key << " missing from STATS: " << *stats_json;
+      return -1;
+    }
+    return std::strtod(stats_json->c_str() + at + key.size() + 4, nullptr);
+  };
+  EXPECT_GT(number("peak_rss_bytes"), 0);
+  EXPECT_GE(number("packed_growth_events"), 1);
+  EXPECT_GE(number("bytes_requested"), 0);
+  EXPECT_GE(number("arena_hits"), 0);
+  EXPECT_GE(number("arena_misses"), 0);
+  EXPECT_GE(number("recycled_buffers"), 0);
+  EXPECT_GE(number("released_buffers"), 0);
+  EXPECT_GE(number("epochs"), 0);
+  EXPECT_GE(number("peak_arena_bytes"), 0);
+  EXPECT_NE(stats_json->find(std::string("\"simd_level\": \"") +
+                             nn::simd::LevelName(nn::simd::ActiveLevel()) +
+                             "\""),
+            std::string::npos);
+  EXPECT_NE(stats_json->find("\"tenant_overflow\": {\"admitted\": 0"),
+            std::string::npos);
 
   daemon.Stop();
   const serve::DaemonStats stats = daemon.GetStats();

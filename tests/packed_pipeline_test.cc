@@ -243,6 +243,9 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
   nn::RepackHeadsKT(k.data(), rows, d, num_heads, kbt.data());
   nn::RepackHeadsVB(v.data(), rows, d, num_heads, vb.data());
   std::vector<float> probs(static_cast<size_t>(max_len) * max_len);
+  size_t kept = 0;
+  for (const int len : lengths) kept += static_cast<size_t>(len) * len;
+  kept *= num_heads;
 
   for (const Level level : {Level::kScalar, nn::simd::HardwareLevel()}) {
     const Kernels* table = nn::simd::TableFor(level);
@@ -252,13 +255,36 @@ TEST(PackedKernelTest, AttentionBlockedMatchesInterleavedPerLevel) {
     table->attention_forward_packed(q.data(), k.data(), v.data(),
                                     out_packed.data(), layout.offsets.data(),
                                     layout.lengths.data(), layout.size(),
-                                    num_heads, d, scale);
+                                    num_heads, d, scale, nullptr);
     table->attention_forward_blocked(
         q.data(), kbt.data(), vb.data(), out_blocked.data(),
         layout.offsets.data(), layout.lengths.data(), layout.size(),
-        num_heads, rows, d, scale, probs.data());
+        num_heads, rows, d, scale, probs.data(), /*keep_probs=*/0);
     for (size_t i = 0; i < out_packed.size(); ++i) {
       ASSERT_EQ(out_packed[i], out_blocked[i])
+          << "level " << table->name << " index " << i;
+    }
+    // Keeping the probabilities for the backward changes no output bit,
+    // and both forwards keep the same probabilities in the same layout.
+    std::vector<float> out_packed_kept(out_packed.size(), 0.0f);
+    std::vector<float> out_blocked_kept(out_packed.size(), -1.0f);
+    std::vector<float> probs_packed(kept, -1.0f), probs_blocked(kept, -2.0f);
+    table->attention_forward_packed(
+        q.data(), k.data(), v.data(), out_packed_kept.data(),
+        layout.offsets.data(), layout.lengths.data(), layout.size(),
+        num_heads, d, scale, probs_packed.data());
+    table->attention_forward_blocked(
+        q.data(), kbt.data(), vb.data(), out_blocked_kept.data(),
+        layout.offsets.data(), layout.lengths.data(), layout.size(),
+        num_heads, rows, d, scale, probs_blocked.data(), /*keep_probs=*/1);
+    for (size_t i = 0; i < out_packed.size(); ++i) {
+      ASSERT_EQ(out_packed[i], out_packed_kept[i])
+          << "level " << table->name << " index " << i;
+      ASSERT_EQ(out_packed[i], out_blocked_kept[i])
+          << "level " << table->name << " index " << i;
+    }
+    for (size_t i = 0; i < kept; ++i) {
+      ASSERT_EQ(probs_packed[i], probs_blocked[i])
           << "level " << table->name << " index " << i;
     }
   }

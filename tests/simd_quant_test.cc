@@ -234,11 +234,11 @@ TEST(SimdParityTest, AttentionForwardPacked) {
     scalar->attention_forward_packed(
         q.data(), k.data(), v.data(), out_s.data(), offsets.data(),
         c.lengths.data(), static_cast<int>(c.lengths.size()), c.num_heads,
-        c.dim, scale);
+        c.dim, scale, nullptr);
     vec->attention_forward_packed(
         q.data(), k.data(), v.data(), out_v.data(), offsets.data(),
         c.lengths.data(), static_cast<int>(c.lengths.size()), c.num_heads,
-        c.dim, scale);
+        c.dim, scale, nullptr);
     ExpectAllNear(out_s, out_v);
   }
 }
@@ -246,9 +246,10 @@ TEST(SimdParityTest, AttentionForwardPacked) {
 // --- Backward kernel parity -------------------------------------------------
 //
 // The backward table's contract is stricter than the forward epsilon: every
-// kernel except attention_backward_packed preserves the scalar accumulation
-// order per gradient element, so scalar and vector tables must match BIT FOR
-// BIT, including at adversarial odd shapes where only the tail lanes run.
+// kernel preserves the scalar accumulation order per gradient element, so
+// scalar and vector tables must match BIT FOR BIT, including at adversarial
+// odd shapes where only the tail lanes run (attention_backward_packed given
+// the same probabilities; each level's forward computes its own).
 // Gradient buffers accumulate (+=), so each case seeds both tables' buffers
 // with identical random prior values to cover the accumulate path too.
 
@@ -440,9 +441,11 @@ TEST(SimdParityTest, AttentionBackwardPacked) {
   for (const Case& c : cases) {
     std::vector<int> offsets;
     int total = 0;
+    size_t kept = 0;
     for (const int len : c.lengths) {
       offsets.push_back(total);
       total += len;
+      kept += static_cast<size_t>(len) * len * c.num_heads;
     }
     const int num_seqs = static_cast<int>(c.lengths.size());
     const float scale =
@@ -452,33 +455,57 @@ TEST(SimdParityTest, AttentionBackwardPacked) {
     const std::vector<float> k = RandomVec(size, &rng);
     const std::vector<float> v = RandomVec(size, &rng);
     const std::vector<float> og = RandomVec(size, &rng);
+    // Each level's backward reads the probabilities its own forward kept.
+    std::vector<float> out(size), probs_s(kept), probs_v(kept);
+    scalar->attention_forward_packed(q.data(), k.data(), v.data(), out.data(),
+                                     offsets.data(), c.lengths.data(),
+                                     num_seqs, c.num_heads, c.dim, scale,
+                                     probs_s.data());
+    vec->attention_forward_packed(q.data(), k.data(), v.data(), out.data(),
+                                  offsets.data(), c.lengths.data(), num_seqs,
+                                  c.num_heads, c.dim, scale, probs_v.data());
     std::vector<float> qg_s = RandomVec(size, &rng), qg_v = qg_s;
     std::vector<float> kg_s = RandomVec(size, &rng), kg_v = kg_s;
     std::vector<float> vg_s = RandomVec(size, &rng), vg_v = vg_s;
+    const std::vector<float> qg0 = qg_s, kg0 = kg_s, vg0 = vg_s;
     scalar->attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
-                                      qg_s.data(), kg_s.data(), vg_s.data(),
+                                      probs_s.data(), qg_s.data(),
+                                      kg_s.data(), vg_s.data(),
                                       offsets.data(), c.lengths.data(),
                                       num_seqs, c.num_heads, c.dim, scale);
     vec->attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
-                                   qg_v.data(), kg_v.data(), vg_v.data(),
-                                   offsets.data(), c.lengths.data(), num_seqs,
-                                   c.num_heads, c.dim, scale);
-    // The recomputed softmax probabilities go through V::Exp, so (exactly
-    // like the forward) cross-level equality is epsilon-gated rather than
-    // bitwise.
+                                   probs_v.data(), qg_v.data(), kg_v.data(),
+                                   vg_v.data(), offsets.data(),
+                                   c.lengths.data(), num_seqs, c.num_heads,
+                                   c.dim, scale);
+    // The forward's softmax goes through V::Exp, so (exactly like the
+    // forward) cross-level equality is epsilon-gated rather than bitwise.
     ExpectAllNear(qg_s, qg_v);
     ExpectAllNear(kg_s, kg_v);
     ExpectAllNear(vg_s, vg_v);
+    // Given the same probabilities, every level produces the scalar bits.
+    std::vector<float> qg_x = qg0, kg_x = kg0, vg_x = vg0;
+    vec->attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
+                                   probs_s.data(), qg_x.data(), kg_x.data(),
+                                   vg_x.data(), offsets.data(),
+                                   c.lengths.data(), num_seqs, c.num_heads,
+                                   c.dim, scale);
+    for (size_t i = 0; i < size; ++i) {
+      ASSERT_EQ(qg_s[i], qg_x[i]) << "qg index " << i;
+      ASSERT_EQ(kg_s[i], kg_x[i]) << "kg index " << i;
+      ASSERT_EQ(vg_s[i], vg_x[i]) << "vg index " << i;
+    }
     // vg-only path (frozen q/k projections upstream).
     std::vector<float> vg2_s = vg_s, vg2_v = vg_v;
     scalar->attention_backward_packed(
-        q.data(), k.data(), v.data(), og.data(), nullptr, nullptr,
-        vg2_s.data(), offsets.data(), c.lengths.data(), num_seqs, c.num_heads,
-        c.dim, scale);
+        q.data(), k.data(), v.data(), og.data(), probs_s.data(), nullptr,
+        nullptr, vg2_s.data(), offsets.data(), c.lengths.data(), num_seqs,
+        c.num_heads, c.dim, scale);
     vec->attention_backward_packed(q.data(), k.data(), v.data(), og.data(),
-                                   nullptr, nullptr, vg2_v.data(),
-                                   offsets.data(), c.lengths.data(), num_seqs,
-                                   c.num_heads, c.dim, scale);
+                                   probs_v.data(), nullptr, nullptr,
+                                   vg2_v.data(), offsets.data(),
+                                   c.lengths.data(), num_seqs, c.num_heads,
+                                   c.dim, scale);
     ExpectAllNear(vg2_s, vg2_v);
   }
 }

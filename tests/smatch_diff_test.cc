@@ -101,6 +101,82 @@ FlatPlan RandomFlatPlan(util::Rng* rng, int nodes, int edges) {
   return flat;
 }
 
+// Independent exact oracle for small plans: enumerates every injective
+// partial mapping of left onto right nodes and scores each one directly —
+// instance matches of the mapped nodes plus one per left edge (p, c) whose
+// image (m[p], m[c]) is a right edge, duplicates per copy and self-loops
+// once. No pruning and no edge attribution, so it shares no logic with
+// ExactSearch.
+int BruteForceMatched(const FlatPlan& left, const FlatPlan& right) {
+  const int nl = static_cast<int>(left.types.size());
+  const int nr = static_cast<int>(right.types.size());
+  auto valid = [](const std::pair<int, int>& e, int n) {
+    return e.first >= 0 && e.first < n && e.second >= 0 && e.second < n;
+  };
+  std::vector<uint8_t> right_edge(static_cast<size_t>(nr) * nr, 0);
+  for (const auto& e : right.edges) {
+    if (valid(e, nr)) {
+      right_edge[static_cast<size_t>(e.first) * nr + e.second] = 1;
+    }
+  }
+  std::vector<int> m(nl, -1);
+  std::vector<uint8_t> used(nr, 0);
+  int best = 0;
+  auto score = [&]() {
+    int total = 0;
+    for (int i = 0; i < nl; ++i) {
+      if (m[i] < 0) continue;
+      const OperatorType& a = left.types[i];
+      const OperatorType& b = right.types[m[i]];
+      total += (a.level1 == b.level1) + (a.level2 == b.level2) +
+               (a.level3 == b.level3);
+    }
+    for (const auto& e : left.edges) {
+      if (!valid(e, nl)) continue;
+      const int a = m[e.first], b = m[e.second];
+      if (a >= 0 && b >= 0) {
+        total += right_edge[static_cast<size_t>(a) * nr + b];
+      }
+    }
+    return total;
+  };
+  auto dfs = [&](auto&& self, int i) -> void {
+    if (i == nl) {
+      best = std::max(best, score());
+      return;
+    }
+    m[i] = -1;
+    self(self, i + 1);
+    for (int j = 0; j < nr; ++j) {
+      if (used[j]) continue;
+      used[j] = 1;
+      m[i] = j;
+      self(self, i + 1);
+      used[j] = 0;
+    }
+    m[i] = -1;
+  };
+  dfs(dfs, 0);
+  return best;
+}
+
+// A random plan tree of at most max_nodes nodes, flattened, with its node
+// indices shuffled: every edge is still parent -> child, but a parent's
+// index may now follow its child's.
+FlatPlan ShuffledTreePlan(data::RandomPlanGenerator* generator,
+                          util::Rng* rng) {
+  const FlatPlan tree = Flatten(*generator->Generate());
+  const int n = static_cast<int>(tree.types.size());
+  const std::vector<int> perm = rng->Permutation(n);
+  FlatPlan out;
+  out.types.resize(n);
+  for (int i = 0; i < n; ++i) out.types[perm[i]] = tree.types[i];
+  for (const auto& [p, c] : tree.edges) {
+    out.edges.emplace_back(perm[p], perm[c]);
+  }
+  return out;
+}
+
 TEST(SmatchDiffTest, CorpusPairsAgree) {
   EXPECT_EQ(CountMismatches(CorpusPairs(11, 4000, 24)), 0);
 }
@@ -163,7 +239,9 @@ TEST(SmatchDiffTest, EmptyAndOneNodeSidesAgree) {
   for (const FlatPlan& a : sides) {
     for (const FlatPlan& b : sides) {
       pairs.emplace_back(a, b);
-      ExpectSameScore(ScoreExact(a, b), legacy::ScoreExact(a, b));
+      // The legacy exact search skipped self-loops and edges into earlier
+      // nodes, so the exact score is checked against enumeration instead.
+      EXPECT_EQ(ScoreExact(a, b).matched_triples, BruteForceMatched(a, b));
     }
   }
   EXPECT_EQ(CountMismatches(pairs), 0);
@@ -198,12 +276,53 @@ TEST(SmatchDiffTest, ExactAgreesOnSmallPlans) {
     ++checked;
   }
   EXPECT_GT(checked, 40);
+  // Hand-broken plans (self-loops, cycles, parents after children): the
+  // legacy exact search undercounted these, so enumeration is the oracle.
   util::Rng rng(18);
   for (int trial = 0; trial < 60; ++trial) {
     const FlatPlan a = RandomFlatPlan(&rng, rng.UniformInt(1, 8), rng.UniformInt(0, 10));
     const FlatPlan b = RandomFlatPlan(&rng, rng.UniformInt(1, 8), rng.UniformInt(0, 10));
-    ExpectSameScore(ScoreExact(a, b), legacy::ScoreExact(a, b));
+    EXPECT_EQ(ScoreExact(a, b).matched_triples, BruteForceMatched(a, b));
   }
+}
+
+// The smallest plan that is not in preorder: two nodes and the one edge
+// (1, 0). Scored against itself, every triple matches. The exact search
+// once counted an edge only when its parent index came first, so it found
+// 6 of the 7 triples (F1 0.857) while hill climbing found all 7.
+TEST(SmatchDiffTest, ExactCountsEdgesIntoEarlierNodes) {
+  const FlatPlan plan{{OperatorType(2, 1, 0), OperatorType(3, 1, 1)},
+                      {{1, 0}}};
+  const SmatchScore exact = ScoreExact(plan, plan);
+  EXPECT_EQ(exact.matched_triples, 7);
+  EXPECT_DOUBLE_EQ(exact.f1, 1.0);
+  EXPECT_DOUBLE_EQ(Score(plan, plan).f1, 1.0);
+  const FlatPlan self_loop{{OperatorType(1, 0, 0)}, {{0, 0}}};
+  EXPECT_DOUBLE_EQ(ScoreExact(self_loop, self_loop).f1, 1.0);
+}
+
+// Exact search is an upper bound for hill climbing on valid plans whatever
+// their node order, and equals enumeration: 500 pairs of shuffled trees of
+// at most 9 nodes.
+TEST(SmatchDiffTest, ExactBoundsHillClimbOnShuffledPlans) {
+  util::Rng rng(19);
+  data::CorpusOptions corpus;
+  corpus.min_nodes = 1;
+  corpus.max_nodes = 9;
+  data::RandomPlanGenerator generator(rng.Fork(), corpus);
+  int shuffled = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    FlatPlan a = ShuffledTreePlan(&generator, &rng);
+    FlatPlan b = ShuffledTreePlan(&generator, &rng);
+    if (a.types.size() > 9 || b.types.size() > 9) continue;
+    for (const auto& [p, c] : a.edges) shuffled += p > c;
+    const int exact = ScoreExact(a, b).matched_triples;
+    EXPECT_GE(exact, Score(a, b).matched_triples) << "trial " << trial;
+    if (a.types.size() * b.types.size() <= 42) {
+      EXPECT_EQ(exact, BruteForceMatched(a, b)) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(shuffled, 500);
 }
 
 }  // namespace
